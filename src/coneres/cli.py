@@ -7,8 +7,10 @@ Subcommands:
   statphase-check  run the stationary-phase order battery
 
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis or
-verification failure.  Scan outputs are byte-deterministic for a fixed
-surface, region and seed, and do not depend on --jobs.
+verification failure, or a numerical failure of the scan
+(ZeroNearBoundary, AuditError, NoConvergence, EscapedBox).  Scan outputs
+are byte-deterministic for a fixed surface, region and seed, and do not
+depend on --jobs.
 """
 from __future__ import annotations
 
@@ -19,8 +21,9 @@ import os
 import sys
 
 from . import tolerances as tol_mod
-from .errors import (GeometricRaySingularity, InsufficientData, PolygonError,
-                     SurfaceValidationError)
+from .errors import (AuditError, EscapedBox, GeometricRaySingularity,
+                     InsufficientData, NoConvergence, PolygonError,
+                     SurfaceValidationError, ZeroNearBoundary)
 from .geometry import (build_polygon_double, length_scales, load_surface,
                        validate_hypotheses)
 from .diffraction import DiffractionEvaluator, diffraction_coefficient
@@ -34,9 +37,9 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
-def _fail(msg: str) -> int:
+def _fail(msg: str, code: int = EXIT_INPUT) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INPUT
+    return code
 
 
 def _parse_polygon(text: str):
@@ -132,11 +135,17 @@ def _cmd_scan(args) -> int:
     except ValueError:
         model = None
 
-    region = SearchRegion(re_min=args.re[0], re_max=args.re[1],
-                          nu_min=args.nu[0], nu_max=args.nu[1])
-    rs = scan_strip(spec, region, tol=tol, jobs=args.jobs,
-                    with_null_vectors=not args.no_null_vectors,
-                    seed=args.seed)
+    try:
+        region = SearchRegion(re_min=args.re[0], re_max=args.re[1],
+                              nu_min=args.nu[0], nu_max=args.nu[1])
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:
+        rs = scan_strip(spec, region, tol=tol, jobs=args.jobs,
+                        with_null_vectors=not args.no_null_vectors,
+                        seed=args.seed)
+    except (ZeroNearBoundary, AuditError, NoConvergence, EscapedBox) as exc:
+        return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
 
     fit = None
     if model is not None:

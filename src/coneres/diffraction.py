@@ -26,27 +26,16 @@ from .errors import GeometricRaySingularity
 from . import tolerances as tol_mod
 from .geometry import TWO_PI, link_distance
 
-_MODES = ("closed_form_2d", "spectral_series")
-
 _SERIES_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
 class DiffractionEvaluator:
     cone_angle: float
-    mode: str = "closed_form_2d"
-    spectrum: tuple[float, ...] | None = None
-    dimension: int = 2
 
     def __post_init__(self):
         if not (self.cone_angle > 0):
             raise ValueError("cone angle must be positive")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "spectral_series" and self.spectrum is None:
-            raise ValueError("spectral_series mode requires an explicit spectrum")
-        if self.dimension > 2 and self.mode == "closed_form_2d":
-            raise ValueError("closed form is two-dimensional only")
 
     @property
     def beta(self) -> float:
@@ -75,10 +64,6 @@ def diffraction_coefficient(ev: DiffractionEvaluator, dtheta: float,
     a smooth plane point: the two cotangents cancel identically and the
     value is exactly zero.
     """
-    if ev.mode != "closed_form_2d":
-        raise NotImplementedError(
-            "closed-form coefficient is only defined in the 2d closed-form mode"
-        )
     a = ev.cone_angle
     beta = ev.beta
     u_minus = beta * (dtheta - math.pi) / 2.0
@@ -98,27 +83,16 @@ def diffraction_series_oracle(ev: DiffractionEvaluator, dtheta: float,
                               terms: int, abel_radius: float) -> complex:
     """Truncated Abel mode sum; independent cross-check of the closed form.
 
-    In two dimensions this is
+    Returns
         (1/A) * sum_{|k| <= terms} r^{|k|} e^{-i pi beta |k|} e^{i beta k dtheta}.
     The partial sum converges to the closed form only when the damping has
     room to act, i.e. terms*(1-r) >> 1; callers choose the pairing.
-
-    In the spectral mode (dimension n > 2 with a user-supplied cross-section
-    spectrum mu_j) the eigenfunction products are not modelled; the scalar
-    weighted sum (1/A) * sum_j r^j exp(-i pi sqrt(mu_j + (n-2)^2/4)) is
-    returned and dtheta is ignored.
     """
     if terms < 0:
         raise ValueError("terms must be nonnegative")
     if not (0.0 < abel_radius < 1.0):
         raise ValueError("abel_radius must lie in (0, 1)")
     a = ev.cone_angle
-    if ev.mode == "spectral_series":
-        mu = np.asarray(ev.spectrum, dtype=float)
-        j = np.arange(mu.size, dtype=float)
-        shift = (ev.dimension - 2) ** 2 / 4.0
-        weights = abel_radius ** j * np.exp(-1j * math.pi * np.sqrt(mu + shift))
-        return complex(weights.sum() / a)
     beta = ev.beta
     total = 1.0 + 0.0j
     k0 = 1

@@ -30,8 +30,6 @@ FORMAT_VERSION = 1
 class ConePoint:
     id: str
     cone_angle: float
-    # explicit cross-section spectrum; required for dimension > 2
-    cross_section_spectrum: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,9 @@ def pi_related(delta: float, cone_angle: float, tol: float) -> bool:
 def validate_spec(spec: ConeSurfaceSpec) -> None:
     """Raise SurfaceValidationError on any structural defect."""
     problems = []
-    if spec.dimension < 2:
-        problems.append(f"dimension must be >= 2, got {spec.dimension}")
+    if spec.dimension != 2:
+        problems.append("only two-dimensional surfaces are supported, "
+                        f"got dimension {spec.dimension}")
     seen_p = set()
     for p in spec.cone_points:
         if p.id in seen_p:
@@ -148,11 +147,6 @@ def validate_spec(spec: ConeSurfaceSpec) -> None:
         seen_p.add(p.id)
         if not (p.cone_angle > 0):
             problems.append(f"cone point {p.id!r}: angle must be positive")
-        if spec.dimension > 2 and p.cross_section_spectrum is None:
-            problems.append(
-                f"cone point {p.id!r}: dimension {spec.dimension} requires an "
-                "explicit cross_section_spectrum"
-            )
     seen_e = set()
     for e in spec.edges:
         if e.id in seen_e:
@@ -198,8 +192,7 @@ def validate_spec(spec: ConeSurfaceSpec) -> None:
 
 
 def build_two_cone_surface(cone_angle: float = 2 * TWO_PI,
-                           length: float = math.pi,
-                           dimension: int = 2) -> ConeSurfaceSpec:
+                           length: float = math.pi) -> ConeSurfaceSpec:
     """Two cone points joined by a single geodesic (directed edges f, fbar).
 
     The link coordinates put the arrival of each edge on the same ray as
@@ -209,7 +202,7 @@ def build_two_cone_surface(cone_angle: float = 2 * TWO_PI,
     p2 = ConePoint("P2", cone_angle)
     f = GeodesicEdge("f", "P1", "P2", length, 0.0, 0.0, "fbar")
     fbar = GeodesicEdge("fbar", "P2", "P1", length, 0.0, 0.0, "f")
-    spec = ConeSurfaceSpec(dimension, (p1, p2), (f, fbar))
+    spec = ConeSurfaceSpec(2, (p1, p2), (f, fbar))
     validate_spec(spec)
     return spec
 
@@ -280,12 +273,7 @@ def build_polygon_double(vertices) -> ConeSurfaceSpec:
 
 
 def _spec_to_dict(spec: ConeSurfaceSpec) -> dict:
-    cps = []
-    for p in spec.cone_points:
-        d = {"id": p.id, "angle": p.cone_angle}
-        if p.cross_section_spectrum is not None:
-            d["spectrum"] = list(p.cross_section_spectrum)
-        cps.append(d)
+    cps = [{"id": p.id, "angle": p.cone_angle} for p in spec.cone_points]
     eds = []
     for e in spec.edges:
         eds.append({
@@ -323,13 +311,8 @@ def load_surface(text: str) -> ConeSurfaceSpec:
         return build_polygon_double(data["polygon"])
     try:
         dim = int(data.get("dimension", 2))
-        cps = tuple(
-            ConePoint(
-                str(p["id"]), float(p["angle"]),
-                tuple(float(v) for v in p["spectrum"]) if "spectrum" in p else None,
-            )
-            for p in data["cone_points"]
-        )
+        cps = tuple(ConePoint(str(p["id"]), float(p["angle"]))
+                    for p in data["cone_points"])
         eds = tuple(
             GeodesicEdge(
                 str(e["id"]), str(e["from"]), str(e["to"]), float(e["length"]),

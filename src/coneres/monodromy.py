@@ -53,7 +53,7 @@ def coupling_coefficient(spec: ConeSurfaceSpec, e_id: str, f_id: str,
     if f.to_point != e.from_point:
         raise NotAdjacent(f"edge {f_id!r} does not feed edge {e_id!r}")
     point = spec.cone_point(f.to_point)
-    ev = DiffractionEvaluator(point.cone_angle, dimension=spec.dimension)
+    ev = DiffractionEvaluator(point.cone_angle)
     return diffraction_coefficient(ev, e.theta_from - f.theta_to, guard=guard)
 
 
@@ -115,26 +115,27 @@ class CharFunction:
 
     def values_and_derivs(self, lam) -> tuple[np.ndarray, np.ndarray]:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        self.n_evals += lam.size
-        m = self.matrices(lam)
-        a = -m
         idx = np.arange(self.size)
-        a[:, idx, idx] += 1.0
-        det = np.linalg.det(a)
-        # d/dlam of an entry multiplies it by (i*ell_f - p/lam)
-        dm = np.zeros_like(m)
-        if self._rows.size:
-            factor = (1j * self._lengths[None, :]
-                      - self._power / lam[:, None])
-            dm[:, self._rows, self._cols] = m[:, self._rows, self._cols] * factor
-        try:
-            x = np.linalg.solve(a, -dm)
-        except np.linalg.LinAlgError:
-            # exactly singular batch member: nudge off the zero
-            lam = lam * (1.0 + 1e-15) + 1e-300
-            return self.values_and_derivs(lam)
-        deriv = det * np.einsum("bii->b", x)
-        return det, deriv
+        for _ in range(2):
+            self.n_evals += lam.size
+            m = self.matrices(lam)
+            a = -m
+            a[:, idx, idx] += 1.0
+            det = np.linalg.det(a)
+            # d/dlam of an entry multiplies it by (i*ell_f - p/lam)
+            dm = np.zeros_like(m)
+            if self._rows.size:
+                factor = (1j * self._lengths[None, :]
+                          - self._power / lam[:, None])
+                dm[:, self._rows, self._cols] = m[:, self._rows, self._cols] * factor
+            try:
+                x = np.linalg.solve(a, -dm)
+            except np.linalg.LinAlgError:
+                # exactly singular batch member: nudge once off the zero
+                lam = lam * (1.0 + 1e-15) + 1e-300
+                continue
+            return det, det * np.einsum("bii->b", x)
+        raise NoConvergence("I - M stays exactly singular after a nudge off the zero")
 
     def __call__(self, lam) -> np.ndarray:
         return self.values(lam)

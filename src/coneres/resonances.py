@@ -10,14 +10,15 @@ final scan are audited: windings must be conserved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, astuple
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import (AuditError, EscapedBox, NoConvergence, ZeroNearBoundary)
 from . import tolerances as tol_mod
 from .geometry import ConeSurfaceSpec, length_scales
-from .monodromy import CharFunction, char_function
+from .monodromy import char_function
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +28,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class FunctionHandle:
-    """Uniform wrapper: vectorised values plus (optional) derivatives."""
+    """Gives plain callables the ``values``/``values_and_derivs`` pair that
+    every zero finder here takes; CharFunction has the pair natively."""
 
     def __init__(self, values, derivs=None):
         self._values = values
@@ -41,14 +43,6 @@ class FunctionHandle:
             raise NoConvergence("no derivative available for Newton refinement")
         return (np.atleast_1d(np.asarray(self._values(lam))),
                 np.atleast_1d(np.asarray(self._derivs(lam))))
-
-
-def as_handle(f) -> "FunctionHandle | CharFunction":
-    if isinstance(f, (FunctionHandle, CharFunction)):
-        return f
-    if hasattr(f, "values") and hasattr(f, "values_and_derivs"):
-        return f
-    return FunctionHandle(f)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +176,10 @@ def winding_number(f, path_fn, nseg: int,
     alone cannot detect aliased full turns), so callers walking long
     contours must scale this with path length times phase rate.
     """
-    handle = as_handle(f)
     per_seg = per_segment or tol.winding_initial_per_segment
     t = np.linspace(0.0, float(nseg), nseg * per_seg + 1)
     pts = path_fn(t)
-    vals = handle.values(pts)
+    vals = f.values(pts)
     # force exact closure so the increments telescope to a clean multiple
     vals[-1] = vals[0]
     if np.any(np.abs(vals) < tol.value_floor) or np.any(~np.isfinite(vals)):
@@ -217,7 +210,7 @@ def winding_number(f, path_fn, nseg: int,
         tm = 0.5 * (t[bad] + t[bad + 1])
         if np.any(tm - t[bad] < 1e-13 * span):
             raise ZeroNearBoundary("contour refinement below resolution floor")
-        vm = handle.values(path_fn(tm))
+        vm = f.values(path_fn(tm))
         if np.any(np.abs(vm) < tol.value_floor) or np.any(~np.isfinite(vm)):
             raise ZeroNearBoundary("contour value underflow: zero on the path?")
         t = np.insert(t, bad + 1, tm)
@@ -243,12 +236,11 @@ def refine_root(f, lam0: complex, box: Box, multiplicity: int = 1,
     diameter.  Stops when |f| < newton_residual * (1 + |f'|).  Raises
     NoConvergence or EscapedBox.
     """
-    handle = as_handle(f)
     lam = complex(lam0)
     cap = box.diameter
     roam = box.inflate(3.0)
     for _ in range(tol.newton_max_iter):
-        v, d = handle.values_and_derivs(np.asarray([lam], dtype=complex))
+        v, d = f.values_and_derivs(np.asarray([lam], dtype=complex))
         v, d = complex(v[0]), complex(d[0])
         if abs(v) < tol.newton_residual * (1.0 + abs(d)):
             if not box.contains(lam):
@@ -288,7 +280,7 @@ def _split_line_clear(f, box: Box, axis: int, frac: float,
     else:
         y = box.im_lo + frac * box.height
         pts = np.linspace(box.re_lo, box.re_hi, m) + 1j * y
-    v = np.abs(as_handle(f).values(pts))
+    v = np.abs(f.values(pts))
     if np.any(~np.isfinite(v)) or np.any(v <= tol.value_floor):
         return False
     return float(v.min()) > tol.split_dip_rel_floor * float(np.median(v))
@@ -407,19 +399,16 @@ def _seed_phase(spec: ConeSurfaceSpec) -> float | None:
     from .asymptotics import ladder_model_from_spec
     try:
         model = ladder_model_from_spec(spec)
-    except Exception:
+    except ValueError:   # no single dominant cycle, hence no ladder
         return None
     return model.c_re
 
 
-def _column_worker(args):
-    spec, box_tuple, tol, newton_scale = args
-    cf = char_function(spec)
-    box = Box(*box_tuple)
-    w = count_zeros(cf, box, tol)
-    items = _extract_zeros(cf, box, w, newton_scale, tol) if w else []
-    return (box_tuple, w,
-            [(r.lam, r.residual, r.winding, astuple(r.box)) for r in items])
+def _scan_column(f, box: Box, width: float,
+                 tol: tol_mod.Tolerances) -> tuple[Box, int, list[Resonance]]:
+    """Winding of one column box and its refined zeros."""
+    w = count_zeros(f, box, tol)
+    return box, w, (_extract_zeros(f, box, w, width, tol) if w else [])
 
 
 def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
@@ -432,6 +421,10 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
                seed: int = 7) -> ResonanceSet:
     """Locate all zeros of det(I - M) in the strip; audit winding totals.
 
+    ``char_fn`` replaces the spec's characteristic function with any
+    object having ``values`` and ``values_and_derivs``; it may not pickle,
+    so it is always scanned in this process, whatever ``jobs`` says.
+
     The strip is covered by full-height columns about half the expected
     ladder spacing wide, aligned so predicted zeros sit near column
     centres when a ladder model is available.  Any boundary conflict
@@ -440,7 +433,8 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     the scanned union, else AuditError.
     """
     if char_fn is not None:
-        f = as_handle(char_fn)
+        f = char_fn
+        jobs = 1
     elif spec is not None:
         f = char_function(spec)
     else:
@@ -465,8 +459,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         shift = seed_shift + grid_offset + attempt * 0.137 * width
         boxes = _column_boxes(region, width, shift)
         try:
-            results = _run_columns(spec, f, boxes, width, tol, jobs,
-                                   parallel_ok=(char_fn is None and spec is not None))
+            results = _run_columns(f, boxes, width, tol, jobs)
         except ZeroNearBoundary as exc:
             last_exc = exc
             continue
@@ -477,24 +470,14 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     ) from last_exc
 
 
-def _run_columns(spec, f, boxes, width, tol, jobs, parallel_ok):
-    if jobs > 1 and parallel_ok and len(boxes) > 1:
+def _run_columns(f, boxes, width, tol, jobs):
+    n = len(boxes)
+    args = (repeat(f, n), boxes, repeat(width, n), repeat(tol, n))
+    if jobs > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(spec, astuple(b), tol, width) for b in boxes]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_column_worker, args, chunksize=8))
-        out = []
-        for box_tuple, w, items in raw:
-            out.append((Box(*box_tuple), w,
-                        [Resonance(lam=lam, residual=res, winding=wd, box=Box(*bt))
-                         for lam, res, wd, bt in items]))
-        return out
-    out = []
-    for b in boxes:
-        w = count_zeros(f, b, tol)
-        items = _extract_zeros(f, b, w, width, tol) if w else []
-        out.append((b, w, items))
-    return out
+            return list(pool.map(_scan_column, *args, chunksize=8))
+    return list(map(_scan_column, *args))
 
 
 def _assemble_set(spec, f, boxes, results, region, tol,
@@ -528,7 +511,7 @@ def _assemble_set(spec, f, boxes, results, region, tol,
             try:
                 mv = null_vector(spec, r.lam, residual_threshold=1e-4, seed=seed)
                 mass = tuple(sorted(mv.null_mass().items()))
-            except Exception:
+            except NoConvergence:   # residual too large for a null vector
                 mass = None
             enriched.append(Resonance(lam=r.lam, residual=r.residual,
                                       winding=r.winding, box=r.box,

@@ -57,7 +57,6 @@ class Tolerances:
     # --- stationary-phase quadrature ---------------------------------------
     quad_points_per_panel: int = 12
     quad_budget_points: float = 6e7
-    quad_abs_tol: float = 1e-10
     quad_min_h: float = 1e-4
 
 

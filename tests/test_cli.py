@@ -45,11 +45,12 @@ def test_scan_polygon_writes_outputs(tmp_path):
 
 
 def test_scan_reruns_are_byte_identical(tmp_path):
+    # the rerun goes through the process pool: --jobs changes no byte
     args = ("scan", "--polygon", "0,0 3,0 0,4",
-            "--re", "100", "103", "--nu", "0.05", "0.35", "--jobs", "1")
+            "--re", "100", "103", "--nu", "0.05", "0.35")
     a, b = tmp_path / "a", tmp_path / "b"
-    ra = run_cli(*args, "--out", str(a))
-    rb = run_cli(*args, "--out", str(b))
+    ra = run_cli(*args, "--jobs", "1", "--out", str(a))
+    rb = run_cli(*args, "--jobs", "2", "--out", str(b))
     assert ra.returncode == 0 and rb.returncode == 0
     for name in ("resonances.csv", "plot_data.csv", "report.json",
                  "fit_summary.txt"):
@@ -94,6 +95,26 @@ def test_scan_bad_polygon_string():
     assert r.returncode == 1
 
 
+def test_scan_bad_strip_is_one_line():
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "0.5", "101", "--nu", "0.05", "0.35")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_scan_numerical_failure_is_one_line(tmp_path):
+    # a contour point budget too small for any refinement
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text("winding_max_points: 20\n")
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "100", "102", "--nu", "0.05", "0.35", "--jobs", "1",
+                env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ZeroNearBoundary:")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # tolerance overrides
 
@@ -130,6 +151,19 @@ def test_validate_triangle():
     assert r.returncode == 0
     assert "[pass]" in r.stdout
     assert "L0 = 5.0" in r.stdout
+
+
+def test_higher_dimension_rejected(tmp_path):
+    text = serialize_surface(build_two_cone_surface())
+    spec_file = tmp_path / "dim3.yaml"
+    spec_file.write_text(text.replace("dimension: 2", "dimension: 3"))
+    for args in (("validate",),
+                 ("scan", "--re", "50", "60", "--nu", "0.1", "0.3")):
+        r = run_cli(*args, "--input", str(spec_file))
+        assert r.returncode == 1, args
+        assert r.stderr.startswith("error:"), args
+        assert "two-dimensional" in r.stderr
+        assert len(r.stderr.splitlines()) == 1, args
 
 
 def test_validate_square_exit_code():

@@ -150,24 +150,3 @@ def test_series_input_validation():
         diffraction_series_oracle(ev, 0.1, -1, 0.5)
     with pytest.raises(ValueError):
         diffraction_series_oracle(ev, 0.1, 100, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# higher-dimensional spectral mode
-
-
-def test_spectral_mode_scalar_sum():
-    spec = tuple(float(j * (j + 1)) for j in range(40))
-    ev = DiffractionEvaluator(FOUR_PI, mode="spectral_series",
-                              spectrum=spec, dimension=3)
-    v = diffraction_series_oracle(ev, 0.0, 10, 0.5)
-    assert math.isfinite(v.real) and math.isfinite(v.imag)
-    with pytest.raises(NotImplementedError):
-        diffraction_coefficient(ev, 0.3)
-
-
-def test_spectral_mode_requires_spectrum():
-    with pytest.raises(ValueError):
-        DiffractionEvaluator(FOUR_PI, mode="spectral_series")
-    with pytest.raises(ValueError):
-        DiffractionEvaluator(FOUR_PI, dimension=3)

@@ -166,10 +166,13 @@ def test_validate_catches_bad_angles():
         ))
 
 
-def test_higher_dimension_needs_spectrum():
-    p = ConePoint(id="P", cone_angle=4 * math.pi)
-    with pytest.raises(SurfaceValidationError, match="spectrum"):
-        validate_spec(ConeSurfaceSpec(dimension=3, cone_points=(p,), edges=()))
+def test_rejects_higher_dimension(two_cone):
+    with pytest.raises(SurfaceValidationError, match="two-dimensional"):
+        validate_spec(ConeSurfaceSpec(dimension=3, cone_points=two_cone.cone_points,
+                                      edges=two_cone.edges))
+    text = serialize_surface(two_cone).replace("dimension: 2", "dimension: 3")
+    with pytest.raises(SurfaceValidationError, match="two-dimensional"):
+        load_surface(text)
 
 
 # ---------------------------------------------------------------------------

@@ -208,3 +208,14 @@ def test_null_vectors_triangle(triangle_345):
         hypotenuse_weight.append(mass["s1"] + mass["s1r"])
     # at least one zero rides the longest closed geodesic
     assert max(hypotenuse_weight) > 0.1
+
+
+def test_singular_derivative_solve_is_bounded(two_cone, monkeypatch):
+    import coneres.monodromy as monodromy
+
+    def always_singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(monodromy.np.linalg, "solve", always_singular)
+    with pytest.raises(NoConvergence):
+        CharFunction(two_cone).values_and_derivs(np.array([100.0 - 1.0j]))

@@ -194,8 +194,31 @@ def test_scan_parallel_matches_serial(two_cone):
     region = SearchRegion(60.0, 70.0, 0.28, 0.40)
     serial = scan_strip(two_cone, region, jobs=1)
     parallel = scan_strip(two_cone, region, jobs=4)
-    assert serial.lambdas().size == parallel.lambdas().size
-    assert np.array_equal(serial.lambdas(), parallel.lambdas())
+    assert len(serial.items) > 0
+    # lambdas, residuals, windings and boxes, all bit for bit
+    assert parallel.items == serial.items
+    assert parallel.total_winding_audited == serial.total_winding_audited
+
+
+def test_scan_null_vector_failures(two_cone, monkeypatch):
+    import coneres.monodromy as monodromy
+
+    region = SearchRegion(100.0, 103.0, 0.30, 0.37)
+
+    def too_large(*args, **kwargs):
+        raise NoConvergence("residual too large")
+
+    monkeypatch.setattr(monodromy, "null_vector", too_large)
+    rs = scan_strip(two_cone, region, with_null_vectors=True)
+    assert len(rs.items) == 3
+    assert all(r.null_mass is None for r in rs.items)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(monodromy, "null_vector", broken)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        scan_strip(two_cone, region, with_null_vectors=True)
 
 
 def test_scan_audit_total(triangle_345):

@@ -381,7 +381,7 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     nu0 + delta] around the string slope, with curves shifted vertically by
     im_offset (use the model's C_im to centre the band on the string).
     """
-    scales = length_scales(spec)
+    scales = length_scales(spec, tol)
     n = spec.dimension
     nu0 = (n - 1) / (2.0 * scales.L0)
     f = char_function(spec)

@@ -122,14 +122,13 @@ def _cmd_scan(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
-    hyp = validate_hypotheses(spec, pi_tol=tol.pi_relation_tol,
-                              tie_rel=tol.length_tie_rel)
+    hyp = validate_hypotheses(spec, tol)
     if not hyp.passed:
         print(hyp.to_text(), file=sys.stderr)
         print("hypothesis check failed; not scanning", file=sys.stderr)
         return EXIT_VERIFY
 
-    scales = length_scales(spec, tie_rel=tol.length_tie_rel)
+    scales = length_scales(spec, tol)
     try:
         model = ladder_model_from_spec(spec, scales)
     except ValueError:
@@ -233,13 +232,12 @@ def _cmd_validate(args) -> int:
         spec = _load_spec(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    scales = length_scales(spec, tie_rel=tol.length_tie_rel)
+    scales = length_scales(spec, tol)
     print(f"dimension {spec.dimension}, {len(spec.cone_points)} cone points, "
           f"{len(spec.edges)} directed edges")
     print(f"L0 = {scales.L0!r}, L' = {scales.Lprime!r}, "
           f"Lambda = {scales.Lambda!r}")
-    hyp = validate_hypotheses(spec, pi_tol=tol.pi_relation_tol,
-                              tie_rel=tol.length_tie_rel)
+    hyp = validate_hypotheses(spec, tol)
     print(hyp.to_text())
     return EXIT_OK if hyp.passed else EXIT_VERIFY
 

@@ -23,10 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometricRaySingularity
-from . import tolerances as tol_mod
-from .geometry import TWO_PI, link_distance
+from .geometry import TWO_PI, link_distance, pi_related
 
 _SERIES_CHUNK = 1_000_000
+
+# distance, in cotangent-argument units, from a multiple of pi at which
+# diffraction_coefficient refuses to evaluate (a geometric ray)
+COT_SINGULARITY_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,29 +50,25 @@ def _cot(u: float) -> float:
 
 
 def is_geometric(ev: DiffractionEvaluator, dtheta: float,
-                 guard: float = tol_mod.DEFAULT.geometric_guard) -> bool:
+                 guard: float = 1e-8) -> bool:
     """True when dtheta is within ``guard`` of +/-pi modulo the link circle."""
-    a = ev.cone_angle
-    return (link_distance(dtheta - math.pi, a) <= guard
-            or link_distance(dtheta + math.pi, a) <= guard)
+    return pi_related(dtheta, ev.cone_angle, guard)
 
 
-def diffraction_coefficient(ev: DiffractionEvaluator, dtheta: float,
-                            guard: float = tol_mod.DEFAULT.cot_singularity_guard
-                            ) -> complex:
+def diffraction_coefficient(ev: DiffractionEvaluator, dtheta: float) -> complex:
     """Closed-form coefficient D_A(dtheta); even in dtheta, A-periodic.
 
-    Raises GeometricRaySingularity when either cotangent argument falls
-    within ``guard`` of a multiple of pi.  A cone angle of exactly 2*pi is
-    a smooth plane point: the two cotangents cancel identically and the
-    value is exactly zero.
+    Raises GeometricRaySingularity when either cotangent argument
+    beta*(dtheta -/+ pi)/2 falls within COT_SINGULARITY_GUARD (1e-8) of a
+    multiple of pi.  A cone angle of exactly 2*pi is a smooth plane point:
+    the two cotangents cancel identically and the value is exactly zero.
     """
     a = ev.cone_angle
     beta = ev.beta
     u_minus = beta * (dtheta - math.pi) / 2.0
     u_plus = beta * (dtheta + math.pi) / 2.0
     for u in (u_minus, u_plus):
-        if link_distance(u, math.pi) <= guard:
+        if link_distance(u, math.pi) <= COT_SINGULARITY_GUARD:
             raise GeometricRaySingularity(
                 f"dtheta={dtheta!r} lies on a geometric ray of the cone "
                 f"(angle {a!r}); the coefficient is singular there"

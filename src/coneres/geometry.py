@@ -332,16 +332,18 @@ def load_surface(text: str) -> ConeSurfaceSpec:
 
 
 def length_scales(spec: ConeSurfaceSpec,
-                  tie_rel: float = tol_mod.DEFAULT.length_tie_rel) -> LengthScales:
+                  tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> LengthScales:
     """Maximal geodesic length L0, second two-step scale L', and Lambda.
 
     L' is defined through the longest two-step path f -> e whose total
     length falls short of 2*L0; ties at the top are reported through
     maximal_edges, never broken silently.  Lambda = min(n/(2 L0),
-    (n-1)/(2 L')) with the first term alone when L' is undefined.
+    (n-1)/(2 L')) with the first term alone when L' is undefined.  Lengths
+    within tol.length_tie_rel (relative) of L0 count as ties.
     """
     if not spec.edges:
         raise SurfaceValidationError("surface has no edges")
+    tie_rel = tol.length_tie_rel
     n = spec.dimension
     L0 = max(e.length for e in spec.edges)
     maximal = tuple(e.id for e in spec.edges if e.length >= L0 * (1 - tie_rel))
@@ -360,15 +362,18 @@ def length_scales(spec: ConeSurfaceSpec,
 
 
 def validate_hypotheses(spec: ConeSurfaceSpec,
-                        pi_tol: float = tol_mod.DEFAULT.pi_relation_tol,
-                        tie_rel: float = tol_mod.DEFAULT.length_tie_rel) -> HypothesisReport:
+                        tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> HypothesisReport:
     """Check the geometric hypotheses behind the single-ladder asymptotics.
 
     (a) no cone point receives two distinct maximal oriented geodesics;
     (b) no two edge incidences at a cone point are pi-related in the link;
     (c) no geodesic loop attains the maximal length L0.
+
+    Length ties use tol.length_tie_rel and the pi relation of (b) uses
+    tol.pi_relation_tol.
     """
-    scales = length_scales(spec, tie_rel)
+    scales = length_scales(spec, tol)
+    tie_rel = tol.length_tie_rel
     checks = []
 
     arrivals: dict[str, list[str]] = {}
@@ -399,7 +404,7 @@ def validate_hypotheses(spec: ConeSurfaceSpec,
             for j in range(i + 1, len(incidences)):
                 a = incidences[i]
                 b = incidences[j]
-                if pi_related(a[2] - b[2], p.cone_angle, pi_tol):
+                if pi_related(a[2] - b[2], p.cone_angle, tol.pi_relation_tol):
                     pi_pairs.append((p.id, a[:2], b[:2]))
     checks.append(CheckResult(
         name="no_pi_related_directions",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAdjacent, NoConvergence
-from . import tolerances as tol_mod
 from .diffraction import DiffractionEvaluator, diffraction_coefficient
 from .geometry import ConeSurfaceSpec
 
@@ -44,9 +43,7 @@ class MonodromyVector:
                 for eid, c in zip(self.edge_index, self.components)}
 
 
-def coupling_coefficient(spec: ConeSurfaceSpec, e_id: str, f_id: str,
-                         guard: float = tol_mod.DEFAULT.cot_singularity_guard
-                         ) -> complex:
+def coupling_coefficient(spec: ConeSurfaceSpec, e_id: str, f_id: str) -> complex:
     """Diffraction coefficient C(e, f) at the cone point joining f to e."""
     e = spec.edge(e_id)
     f = spec.edge(f_id)
@@ -54,7 +51,7 @@ def coupling_coefficient(spec: ConeSurfaceSpec, e_id: str, f_id: str,
         raise NotAdjacent(f"edge {f_id!r} does not feed edge {e_id!r}")
     point = spec.cone_point(f.to_point)
     ev = DiffractionEvaluator(point.cone_angle)
-    return diffraction_coefficient(ev, e.theta_from - f.theta_to, guard=guard)
+    return diffraction_coefficient(ev, e.theta_from - f.theta_to)
 
 
 def transfer_entry(spec: ConeSurfaceSpec, e_id: str, f_id: str,
@@ -76,16 +73,14 @@ class CharFunction:
     workload accounting.
     """
 
-    def __init__(self, spec: ConeSurfaceSpec,
-                 guard: float = tol_mod.DEFAULT.cot_singularity_guard):
-        self.spec = spec
+    def __init__(self, spec: ConeSurfaceSpec):
         self.edge_index = tuple(e.id for e in spec.edges)
         pos = {eid: i for i, eid in enumerate(self.edge_index)}
         rows, cols, coeffs, lengths = [], [], [], []
         for f, e in spec.adjacent_pairs():
             rows.append(pos[e.id])
             cols.append(pos[f.id])
-            coeffs.append(coupling_coefficient(spec, e.id, f.id, guard=guard))
+            coeffs.append(coupling_coefficient(spec, e.id, f.id))
             lengths.append(f.length)
         self._rows = np.asarray(rows, dtype=int)
         self._cols = np.asarray(cols, dtype=int)
@@ -137,9 +132,6 @@ class CharFunction:
             return det, det * np.einsum("bii->b", x)
         raise NoConvergence("I - M stays exactly singular after a nudge off the zero")
 
-    def __call__(self, lam) -> np.ndarray:
-        return self.values(lam)
-
 
 @functools.lru_cache(maxsize=64)
 def _char_cached(spec: ConeSurfaceSpec) -> CharFunction:
@@ -174,13 +166,13 @@ def null_vector(spec: ConeSurfaceSpec, lam: complex,
     caller vouches for lam being near a zero of the determinant via
     ``residual_threshold``.
     """
-    value, _ = char_value(spec, lam)
-    if abs(value) > residual_threshold:
+    cf = char_function(spec)
+    value = abs(cf.values(np.asarray([complex(lam)]))[0])
+    if value > residual_threshold:
         raise NoConvergence(
-            f"|det(I-M)| = {abs(value):.3e} exceeds {residual_threshold:.3e}; "
+            f"|det(I-M)| = {value:.3e} exceeds {residual_threshold:.3e}; "
             "refine lambda before requesting a null vector"
         )
-    cf = char_function(spec)
     a = np.eye(cf.size, dtype=complex) - cf.matrices(np.asarray([lam]))[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(cf.size) + 1j * rng.standard_normal(cf.size)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (AuditError, EscapedBox, NoConvergence, ZeroNearBoundary)
 from . import tolerances as tol_mod
-from .geometry import ConeSurfaceSpec, length_scales
+from .geometry import ConeSurfaceSpec, LengthScales, length_scales
 from .monodromy import char_function
 
 TWO_PI = 2.0 * math.pi
@@ -73,9 +73,9 @@ class Box:
     def diameter(self) -> float:
         return math.hypot(self.width, self.height)
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.re_lo - margin <= z.real <= self.re_hi + margin
-                and self.im_lo - margin <= z.imag <= self.im_hi + margin)
+    def contains(self, z: complex) -> bool:
+        return (self.re_lo <= z.real <= self.re_hi
+                and self.im_lo <= z.imag <= self.im_hi)
 
     def boundary_distance(self, z: complex) -> float:
         return min(z.real - self.re_lo, self.re_hi - z.real,
@@ -110,7 +110,6 @@ class SearchRegion:
     re_max: float
     nu_min: float
     nu_max: float
-    guard: float = tol_mod.DEFAULT.boundary_guard
 
     def __post_init__(self):
         if not (1.0 < self.re_min < self.re_max):
@@ -394,11 +393,11 @@ def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
     return np.asarray(cleaned, dtype=complex)
 
 
-def _seed_phase(spec: ConeSurfaceSpec) -> float | None:
+def _seed_phase(spec: ConeSurfaceSpec, scales: LengthScales) -> float | None:
     """Predicted Re-coset of the resonance ladder, used to centre columns."""
     from .asymptotics import ladder_model_from_spec
     try:
-        model = ladder_model_from_spec(spec)
+        model = ladder_model_from_spec(spec, scales)
     except ValueError:   # no single dominant cycle, hence no ladder
         return None
     return model.c_re
@@ -416,7 +415,6 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
                jobs: int = 1,
                grid_offset: float = 0.0,
                char_fn=None,
-               column_width: float | None = None,
                with_null_vectors: bool = False,
                seed: int = 7) -> ResonanceSet:
     """Locate all zeros of det(I - M) in the strip; audit winding totals.
@@ -440,19 +438,16 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     else:
         raise ValueError("need a spec or an explicit char_fn")
 
-    if column_width is not None:
-        width = column_width
-    elif spec is not None:
-        width = math.pi / (2.0 * length_scales(spec).L0)
-    else:
-        width = (region.re_max - region.re_min) / 16.0
-
     seed_shift = 0.0
     if spec is not None:
-        c_re = _seed_phase(spec)
+        scales = length_scales(spec, tol)
+        width = math.pi / (2.0 * scales.L0)
+        c_re = _seed_phase(spec, scales)
         if c_re is not None:
             # put the predicted coset mid-column: boundaries at c_re + w/2 (mod w)
             seed_shift = (c_re + 0.5 * width - region.re_min) % width
+    else:
+        width = (region.re_max - region.re_min) / 16.0
 
     last_exc: Exception | None = None
     for attempt in range(tol.grid_retry_shifts):
@@ -460,11 +455,10 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         boxes = _column_boxes(region, width, shift)
         try:
             results = _run_columns(f, boxes, width, tol, jobs)
+            return _assemble_set(spec, f, boxes, results, region, tol,
+                                 with_null_vectors, seed)
         except ZeroNearBoundary as exc:
             last_exc = exc
-            continue
-        return _assemble_set(spec, f, boxes, results, region, tol,
-                             with_null_vectors, seed)
     raise ZeroNearBoundary(
         f"scan failed after {tol.grid_retry_shifts} grid shifts"
     ) from last_exc
@@ -498,7 +492,7 @@ def _assemble_set(spec, f, boxes, results, region, tol,
             raise AuditError(f"column at [{b.re_lo}, {b.re_hi}] lost zeros")
         for r in found:
             # guard against zeros hugging an audit line of the tiling
-            if b.boundary_distance(r.lam) < region.guard:
+            if b.boundary_distance(r.lam) < tol.boundary_guard:
                 raise ZeroNearBoundary(
                     f"refined zero {r.lam} violates the boundary guard"
                 )

@@ -1,9 +1,15 @@
 """Central tolerance record.
 
-Every numerical knob used by the library lives here so a run can be
-reproduced from its configuration alone.  The CLI honours the environment
+Every numerical tolerance that a run's configuration can change is a
+field of ``Tolerances``.  Functions that use one take a ``tol`` record
+and read the field from it when called, so a run can be reproduced from
+its configuration alone.  Call arguments that pose the question itself
+(a band's ``delta``, an oracle's term count, ``is_geometric``'s guard)
+are not tolerances, and fixed constants that no configuration should
+change (the cotangent guard of the diffraction coefficient, structural
+slack in surface validation) stay with the code that uses them.  The CLI honours the environment
 variable ``CONERES_TOL_OVERRIDES``: it names a YAML file whose keys are a
-subset of the field names below.
+subset of the field names below; any other key is an error.
 """
 from __future__ import annotations
 
@@ -42,10 +48,8 @@ class Tolerances:
     ladder_newton_tol: float = 1e-12
 
     # --- geometry / diffraction ------------------------------------------
-    pi_relation_tol: float = 1e-9
-    cot_singularity_guard: float = 1e-8
-    geometric_guard: float = 1e-8
-    length_tie_rel: float = 1e-12
+    pi_relation_tol: float = 1e-9     # hypothesis (b): pi-related link directions
+    length_tie_rel: float = 1e-12     # relative tie when naming the maximal edges
 
     # --- fits and verification thresholds ---------------------------------
     fit_min_points: int = 10

@@ -142,6 +142,30 @@ def test_tolerance_override_unknown_key(tmp_path):
     assert r.returncode == 1
 
 
+def test_tolerance_override_boundary_guard_reaches_scan(tmp_path):
+    # no zero clears every column wall by 0.2, on any grid shift
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text("boundary_guard: 0.2\n")
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "100", "103", "--nu", "0.05", "0.35", "--jobs", "1",
+                env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ZeroNearBoundary:")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_tolerance_override_removed_field_rejected(tmp_path):
+    # the cotangent guard is a fixed constant, not a tolerance field
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text("cot_singularity_guard: 10.0\n")
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "100", "103", "--nu", "0.05", "0.35", "--jobs", "1",
+                env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: bad tolerance override:")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # other commands
 

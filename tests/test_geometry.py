@@ -7,7 +7,7 @@ from coneres import (ConePoint, ConeSurfaceSpec, GeodesicEdge, PolygonError,
                      SurfaceValidationError, build_polygon_double,
                      build_two_cone_surface, length_scales, link_distance,
                      load_surface, serialize_surface, validate_hypotheses,
-                     validate_spec)
+                     validate_spec, with_overrides)
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,3 +230,19 @@ def test_hypotheses_text_output(two_cone):
     text = validate_hypotheses(two_cone).to_text()
     assert "[pass]" in text
     assert "unique_maximal_geodesic" in text
+
+
+def test_length_scales_reads_tie_from_tol(triangle_345):
+    # a loose tie makes the 4-side count as maximal next to the 5-side
+    sc = length_scales(triangle_345, with_overrides({"length_tie_rel": 0.25}))
+    assert set(sc.maximal_edges) == {"s1", "s1r", "s2", "s2r"}
+    rep = validate_hypotheses(triangle_345,
+                              with_overrides({"length_tie_rel": 0.25}))
+    assert {c.name for c in rep.failures()} == {"unique_maximal_geodesic"}
+
+
+def test_hypotheses_read_pi_tolerance_from_tol(triangle_345):
+    # a tolerance wider than half of every link circle relates every pair
+    rep = validate_hypotheses(triangle_345,
+                              with_overrides({"pi_relation_tol": 7.0}))
+    assert {c.name for c in rep.failures()} == {"no_pi_related_directions"}

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from coneres import (AuditError, Box, CharFunction, EscapedBox,
+from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      FunctionHandle, NoConvergence, SearchRegion,
                      ZeroNearBoundary, count_zeros, polyline_path,
-                     refine_root, scan_strip, winding_number)
+                     refine_root, scan_strip, winding_number, with_overrides)
+from coneres.resonances import _guarded_split
 
 
 def poly_handle(*zeros):
@@ -89,6 +90,27 @@ def test_refine_root_needs_derivative():
     h = FunctionHandle(lambda lam: np.asarray(lam, dtype=complex) - 2.0)
     with pytest.raises(NoConvergence):
         refine_root(h, 1.9 + 0j, Box(1.5, 2.5, -0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# guarded splits
+
+
+def test_guarded_split_skips_a_line_through_a_zero():
+    # the mid line x=1 runs through the zero; the next candidate cuts at 0.57
+    h = poly_handle(1.0 + 0j)
+    (b1, w1), (b2, w2) = _guarded_split(h, Box(0, 2, -0.5, 0.5), 1,
+                                        DEFAULT)
+    assert (b1.re_lo, b1.re_hi, w1) == (0.0, pytest.approx(1.14), 1)
+    assert (b2.re_lo, b2.re_hi, w2) == (pytest.approx(1.14), 2.0, 0)
+    assert b1.re_hi == b2.re_lo
+
+
+def test_guarded_split_all_lines_rejected():
+    # one zero on each candidate line x = 2*frac
+    h = poly_handle(1.0 + 0j, 1.14 + 0j, 0.86 + 0j, 1.3 + 0j, 0.7 + 0j)
+    with pytest.raises(ZeroNearBoundary, match="all split lines rejected"):
+        _guarded_split(h, Box(0, 2, -0.5, 0.5), 5, DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +241,17 @@ def test_scan_null_vector_failures(two_cone, monkeypatch):
     monkeypatch.setattr(monodromy, "null_vector", broken)
     with pytest.raises(RuntimeError, match="unexpected"):
         scan_strip(two_cone, region, with_null_vectors=True)
+
+
+def test_scan_boundary_guard_retries_then_fails(two_cone):
+    # a guard wider than any zero's clearance fails on every grid shift
+    region = SearchRegion(100.0, 103.0, 0.30, 0.37)
+    tol = with_overrides({"boundary_guard": 0.2})
+    with pytest.raises(ZeroNearBoundary,
+                       match="scan failed after 5 grid shifts") as info:
+        scan_strip(two_cone, region, tol=tol)
+    assert isinstance(info.value.__cause__, ZeroNearBoundary)
+    assert "violates the boundary guard" in str(info.value.__cause__)
 
 
 def test_scan_audit_total(triangle_345):

@@ -1,0 +1,39 @@
+import dataclasses
+import pathlib
+import re
+
+import pytest
+
+import coneres
+from coneres import Tolerances, with_overrides
+
+SRC = pathlib.Path(coneres.__file__).parent
+FIELDS = [f.name for f in dataclasses.fields(Tolerances)]
+
+
+def _sources():
+    return {p.name: p.read_text(encoding="utf-8")
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_field_is_read_from_a_tol_record():
+    # a field nothing reads as tol.<field> is a knob no override reaches
+    text = "\n".join(_sources().values())
+    unread = [name for name in FIELDS
+              if not re.search(rf"\btol\.{name}\b", text)]
+    assert not unread, f"Tolerances fields never read as tol.<field>: {unread}"
+
+
+def test_no_default_record_outside_tolerances_module():
+    # DEFAULT.<field> freezes a value at import, past any tol passed in
+    offenders = [(name, m.group(0))
+                 for name, text in _sources().items()
+                 if name != "tolerances.py"
+                 for m in re.finditer(r"\bDEFAULT\.\w+", text)]
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize("key", ["cot_singularity_guard", "geometric_guard"])
+def test_removed_fields_are_unknown_override_keys(key):
+    with pytest.raises(KeyError):
+        with_overrides({key: 1.0})

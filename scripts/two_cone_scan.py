@@ -47,7 +47,7 @@ def main(argv=None):
     print(f"found {len(result.items)} zeros in {elapsed:.2f}s "
           f"(audited winding {result.total_winding_audited})")
 
-    fit = fit_log_curve(lams, model.n, model.L0)
+    fit = fit_log_curve(lams, model.L0)
     print(fit.to_text())
     print()
 

@@ -12,8 +12,7 @@ from .geometry import (ConePoint, ConeSurfaceSpec, GeodesicEdge,
                        validate_spec)
 from .diffraction import (DiffractionEvaluator, diffraction_coefficient,
                           diffraction_series_oracle, is_geometric)
-from .monodromy import (CharFunction, MonodromyVector, TransferMatrix,
-                        assemble, char_function, char_value,
+from .monodromy import (CharFunction, MonodromyVector, char_function,
                         coupling_coefficient, null_vector, transfer_entry)
 from .resonances import (Box, FunctionHandle, Resonance, ResonanceSet,
                          SearchRegion, count_zeros, polyline_path,
@@ -37,10 +36,9 @@ __all__ = [
     "LadderModel", "LengthScales", "MonodromyVector", "NoConvergence",
     "NotAdjacent", "OrderCheckReport", "PolygonError", "QuadraticPhase",
     "Resonance", "ResonanceSet", "SearchRegion", "StatPhaseProblem",
-    "SurfaceValidationError", "Tolerances", "TransferMatrix",
-    "VerificationReport", "ZeroNearBoundary", "assemble",
-    "build_polygon_double", "build_two_cone_surface", "char_function",
-    "char_value", "coset_deviations", "count_zeros", "coupling_coefficient",
+    "SurfaceValidationError", "Tolerances", "VerificationReport",
+    "ZeroNearBoundary", "build_polygon_double", "build_two_cone_surface",
+    "char_function", "coset_deviations", "count_zeros", "coupling_coefficient",
     "diffraction_coefficient", "diffraction_series_oracle", "fit_log_curve",
     "from_environment", "gap_report", "is_geometric", "ladder_in_window",
     "ladder_model_from_spec", "length_scales", "link_distance",

@@ -3,13 +3,15 @@
 When a surface has a unique longest closed geodesic (an edge and its
 reversal), the large-Re zeros of det(I - M) organise into a string
 
-    Im(lam) = -(n-1)/(2 L0) * log|lam| + C_im + o(1),
+    Im(lam) = -1/(2 L0) * log|lam| + C_im + o(1),
     Re(lam) = C_re + (pi / L0) * k + o(1),  k integer,
 
 with constants set by the product of the two diffraction couplings
-around the maximal cycle.  This module predicts individual string zeros
-by Newton on the quantization condition, fits scans against the law,
-and counts zeros in log-curve bands via the argument principle.
+around the maximal cycle.  The slope is the paper's -(n-1)/(2 L0) at
+n = 2, the only dimension the package models.  This module predicts
+individual string zeros by Newton on the quantization condition, fits
+scans against the law, and counts zeros in log-curve bands via the
+argument principle.
 """
 from __future__ import annotations
 
@@ -32,10 +34,9 @@ TWO_PI = 2.0 * math.pi
 class LadderModel:
     """One-cycle reduction of the characteristic function.
 
-    det(I - M) ~ 1 - c_prod * lam^{-(n-1)} * exp(2i*lam*L0) when a single
-    edge pair dominates.  All string constants derive from (n, L0, c_prod).
+    det(I - M) ~ 1 - c_prod * lam^{-1} * exp(2i*lam*L0) when a single
+    edge pair dominates.  All string constants derive from (L0, c_prod).
     """
-    n: int
     L0: float
     c_prod: complex
 
@@ -45,7 +46,7 @@ class LadderModel:
 
     @property
     def slope(self) -> float:
-        return -(self.n - 1) / (2.0 * self.L0)
+        return -1 / (2.0 * self.L0)
 
     @property
     def c_im(self) -> float:
@@ -59,14 +60,14 @@ class LadderModel:
 
 
 def ladder_model_from_spec(spec: ConeSurfaceSpec,
-                           scales: LengthScales | None = None) -> LadderModel:
+                           tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> LadderModel:
     """Build the one-cycle model from the unique maximal edge pair.
 
     Raises ValueError when the maximal geodesic is not unique (more than
-    one unoriented edge attains L0), since no single cycle dominates.
+    one unoriented edge attains L0 within tol.length_tie_rel), since no
+    single cycle dominates.
     """
-    if scales is None:
-        scales = length_scales(spec)
+    scales = length_scales(spec, tol)
     maximal = set(scales.maximal_edges)
     if len(maximal) != 2:
         raise ValueError(
@@ -81,14 +82,14 @@ def ladder_model_from_spec(spec: ConeSurfaceSpec,
     c2 = coupling_coefficient(spec, e_id, r_id)
     if c1 * c2 == 0:
         raise ValueError("no diffractive coupling around the maximal cycle")
-    return LadderModel(n=spec.dimension, L0=scales.L0, c_prod=c1 * c2)
+    return LadderModel(L0=scales.L0, c_prod=c1 * c2)
 
 
 def predicted_ladder(model: LadderModel, ks,
                      tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> np.ndarray:
     """Exact one-cycle zeros near Re = c_re + spacing*k, by Newton.
 
-    Solves 2i*lam*L0 - (n-1)*Log(lam) + c_log = 2*pi*i*k on the principal
+    Solves 2i*lam*L0 - Log(lam) + c_log = 2*pi*i*k on the principal
     branch, where c_log is anchored so index k lands in coset k.  Requires
     every requested index to predict Re(lam) > 1.
     """
@@ -96,13 +97,12 @@ def predicted_ladder(model: LadderModel, ks,
     x0 = model.c_re + model.spacing * ks
     if np.any(x0 <= 1.0):
         raise ValueError("ladder indices must predict Re(lam) > 1")
-    n1 = model.n - 1
     c_log = complex(math.log(abs(model.c_prod)), -2.0 * model.L0 * model.c_re)
-    lam = x0 - 1j * (n1 / (2.0 * model.L0)) * np.log(x0)
+    lam = x0 - 1j * (1 / (2.0 * model.L0)) * np.log(x0)
     target = TWO_PI * 1j * ks
     for _ in range(60):
-        g = 2j * lam * model.L0 - n1 * np.log(lam) + c_log - target
-        step = g / (2j * model.L0 - n1 / lam)
+        g = 2j * lam * model.L0 - np.log(lam) + c_log - target
+        step = g / (2j * model.L0 - 1 / lam)
         lam = lam - step
         # relative step test: g itself carries rounding noise ~ ulp(lam*L0),
         # so an absolute residual floor is unreachable for large lam
@@ -176,7 +176,7 @@ class FitReport:
         return "\n".join(lines)
 
 
-def fit_log_curve(lambdas, n: int, L0: float,
+def fit_log_curve(lambdas, L0: float, *,
                   min_re: float | None = None,
                   tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> FitReport:
     """Least-squares fit of Im(lam) against log|lam|, plus spacing stats.
@@ -210,7 +210,7 @@ def fit_log_curve(lambdas, n: int, L0: float,
     c_re_emp = (cmath.phase(mean_dir) / TWO_PI * spacing_expected) % spacing_expected
     return FitReport(
         slope=float(slope),
-        slope_expected=-(n - 1) / (2.0 * L0),
+        slope_expected=-1 / (2.0 * L0),
         intercept=float(intercept),
         spacing_mean=spacing_mean,
         spacing_expected=spacing_expected,
@@ -256,7 +256,7 @@ def verify_scan(result: ResonanceSet, model: LadderModel,
                 min_re: float | None = None,
                 tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> VerificationReport:
     """Check a scan against the string law at standard tolerances."""
-    fit = fit_log_curve(result.lambdas(), model.n, model.L0, min_re, tol)
+    fit = fit_log_curve(result.lambdas(), model.L0, min_re=min_re, tol=tol)
     checks = []
 
     rel = abs(fit.slope - model.slope) / abs(model.slope)
@@ -375,15 +375,14 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
                tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> GapReport:
     """Count zeros in the expected resonance-free band and around the string.
 
-    The gap band is nu in [(n-1)/(2 L0) + delta, Lambda - delta]; when the
+    The gap band is nu in [1/(2 L0) + delta, Lambda - delta]; when the
     surface's length gap makes that interval empty the band is reported as
     empty with winding zero.  The string band is nu in [nu0 - delta,
     nu0 + delta] around the string slope, with curves shifted vertically by
     im_offset (use the model's C_im to centre the band on the string).
     """
     scales = length_scales(spec, tol)
-    n = spec.dimension
-    nu0 = (n - 1) / (2.0 * scales.L0)
+    nu0 = 1 / (2.0 * scales.L0)
     f = char_function(spec)
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
     # initial density must resolve the dominant phase rate 2*L0 along the
@@ -404,9 +403,9 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     string_w = winding_number(f, path, nseg, tol, per_segment=per_seg)
 
     eps_prime: float | None
-    t1 = (n - 1) + 0.5 - 2.0 * scales.L0 * (scales.Lambda - delta)
+    t1 = 1.5 - 2.0 * scales.L0 * (scales.Lambda - delta)
     if scales.Lprime is not None:
-        t0 = (n - 1) - 2.0 * scales.Lprime * (scales.Lambda - delta)
+        t0 = 1 - 2.0 * scales.Lprime * (scales.Lambda - delta)
         eps_prime = min(t0, t1)
     else:
         eps_prime = t1

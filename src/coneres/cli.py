@@ -107,7 +107,7 @@ def _write_plot_csv(path: str, rows) -> None:
 
 def _surface_summary(spec) -> dict:
     return {
-        "dimension": spec.dimension,
+        "dimension": 2,
         "cone_points": [{"id": p.id, "angle": p.cone_angle}
                         for p in spec.cone_points],
         "edges": [{"id": e.id, "from": e.from_point, "to": e.to_point,
@@ -115,8 +115,7 @@ def _surface_summary(spec) -> dict:
     }
 
 
-def _cmd_scan(args) -> int:
-    tol = tol_mod.from_environment()
+def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
     try:
         spec = _load_spec(args)
     except (OSError, ValueError) as exc:
@@ -130,7 +129,7 @@ def _cmd_scan(args) -> int:
 
     scales = length_scales(spec, tol)
     try:
-        model = ladder_model_from_spec(spec, scales)
+        model = ladder_model_from_spec(spec, tol)
     except ValueError:
         model = None
 
@@ -149,7 +148,7 @@ def _cmd_scan(args) -> int:
     fit = None
     if model is not None:
         try:
-            fit = fit_log_curve(rs.lambdas(), model.n, model.L0,
+            fit = fit_log_curve(rs.lambdas(), model.L0,
                                 min_re=max(region.re_min, tol.fit_min_re),
                                 tol=tol)
         except InsufficientData:
@@ -184,7 +183,7 @@ def _cmd_scan(args) -> int:
                        "nu_min": region.nu_min, "nu_max": region.nu_max},
             "seed": args.seed,
             "model": None if model is None else {
-                "n": model.n, "L0": model.L0,
+                "n": 2, "L0": model.L0,
                 "c_prod_re": model.c_prod.real,
                 "c_prod_im": model.c_prod.imag,
                 "spacing": model.spacing, "slope": model.slope,
@@ -226,14 +225,13 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    tol = tol_mod.from_environment()
+def _cmd_validate(args, tol: tol_mod.Tolerances) -> int:
     try:
         spec = _load_spec(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     scales = length_scales(spec, tol)
-    print(f"dimension {spec.dimension}, {len(spec.cone_points)} cone points, "
+    print(f"dimension 2, {len(spec.cone_points)} cone points, "
           f"{len(spec.edges)} directed edges")
     print(f"L0 = {scales.L0!r}, L' = {scales.Lprime!r}, "
           f"Lambda = {scales.Lambda!r}")
@@ -276,8 +274,7 @@ def _battery_problem(n: int, h: float) -> sp.StatPhaseProblem:
                                w=1.0, h=h, cutoff_radius=3.0)
 
 
-def _cmd_statphase(args) -> int:
-    tol = tol_mod.from_environment()
+def _cmd_statphase(args, tol: tol_mod.Tolerances) -> int:
     ok = True
     for n, order, hs in _BATTERY:
         if args.order is not None and order != args.order:
@@ -342,12 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "diffraction":       # the one command without tolerances
+        return _cmd_diffraction(args)
     try:
-        return args.func(args)
+        tol = tol_mod.from_environment()
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return _fail(f"bad tolerance override: {exc}")
+    try:
+        return args.func(args, tol)
     except (SurfaceValidationError, PolygonError) as exc:
         return _fail(str(exc))
-    except KeyError as exc:
-        return _fail(f"bad tolerance override: {exc}")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ class GeodesicEdge:
 
 @dataclass(frozen=True)
 class ConeSurfaceSpec:
-    dimension: int
+    """A two-dimensional cone surface: its cone points and directed edges."""
     cone_points: tuple[ConePoint, ...]
     edges: tuple[GeodesicEdge, ...]
 
@@ -137,9 +137,6 @@ def pi_related(delta: float, cone_angle: float, tol: float) -> bool:
 def validate_spec(spec: ConeSurfaceSpec) -> None:
     """Raise SurfaceValidationError on any structural defect."""
     problems = []
-    if spec.dimension != 2:
-        problems.append("only two-dimensional surfaces are supported, "
-                        f"got dimension {spec.dimension}")
     seen_p = set()
     for p in spec.cone_points:
         if p.id in seen_p:
@@ -202,7 +199,7 @@ def build_two_cone_surface(cone_angle: float = 2 * TWO_PI,
     p2 = ConePoint("P2", cone_angle)
     f = GeodesicEdge("f", "P1", "P2", length, 0.0, 0.0, "fbar")
     fbar = GeodesicEdge("fbar", "P2", "P1", length, 0.0, 0.0, "f")
-    spec = ConeSurfaceSpec(2, (p1, p2), (f, fbar))
+    spec = ConeSurfaceSpec((p1, p2), (f, fbar))
     validate_spec(spec)
     return spec
 
@@ -267,7 +264,7 @@ def build_polygon_double(vertices) -> ConeSurfaceSpec:
         edges.append(GeodesicEdge(f"s{i}r", f"V{j}", f"V{i}", ell,
                                   theta_from=0.0, theta_to=half_i,
                                   reversal=f"s{i}"))
-    spec = ConeSurfaceSpec(2, tuple(cone_points), tuple(edges))
+    spec = ConeSurfaceSpec(tuple(cone_points), tuple(edges))
     validate_spec(spec)
     return spec
 
@@ -281,7 +278,7 @@ def _spec_to_dict(spec: ConeSurfaceSpec) -> dict:
             "length": e.length, "theta_from": e.theta_from,
             "theta_to": e.theta_to, "reversal": e.reversal,
         })
-    return {"version": FORMAT_VERSION, "dimension": spec.dimension,
+    return {"version": FORMAT_VERSION, "dimension": 2,
             "cone_points": cps, "edges": eds}
 
 
@@ -295,6 +292,7 @@ def load_surface(text: str) -> ConeSurfaceSpec:
 
     Accepts either explicit cone_points/edges or a ``polygon`` key holding
     counterclockwise vertices, which is doubled via build_polygon_double.
+    ``dimension``, if present, must be 2.
     """
     try:
         data = yaml.safe_load(text)
@@ -307,22 +305,28 @@ def load_surface(text: str) -> ConeSurfaceSpec:
         raise SurfaceValidationError(
             f"unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )
-    if "polygon" in data:
-        return build_polygon_double(data["polygon"])
     try:
         dim = int(data.get("dimension", 2))
-        cps = tuple(ConePoint(str(p["id"]), float(p["angle"]))
-                    for p in data["cone_points"])
-        eds = tuple(
-            GeodesicEdge(
-                str(e["id"]), str(e["from"]), str(e["to"]), float(e["length"]),
-                float(e["theta_from"]), float(e["theta_to"]), str(e["reversal"]),
+        if "polygon" in data:
+            vertices = [(float(x), float(y)) for x, y in data["polygon"]]
+        else:
+            cps = tuple(ConePoint(str(p["id"]), float(p["angle"]))
+                        for p in data["cone_points"])
+            eds = tuple(
+                GeodesicEdge(
+                    str(e["id"]), str(e["from"]), str(e["to"]), float(e["length"]),
+                    float(e["theta_from"]), float(e["theta_to"]), str(e["reversal"]),
+                )
+                for e in data["edges"]
             )
-            for e in data["edges"]
-        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SurfaceValidationError(f"malformed surface document: {exc}") from exc
-    spec = ConeSurfaceSpec(dim, cps, eds)
+    if dim != 2:
+        raise SurfaceValidationError("only two-dimensional surfaces are supported, "
+                                     f"got dimension {dim}")
+    if "polygon" in data:
+        return build_polygon_double(vertices)
+    spec = ConeSurfaceSpec(cps, eds)
     validate_spec(spec)
     return spec
 
@@ -337,14 +341,14 @@ def length_scales(spec: ConeSurfaceSpec,
 
     L' is defined through the longest two-step path f -> e whose total
     length falls short of 2*L0; ties at the top are reported through
-    maximal_edges, never broken silently.  Lambda = min(n/(2 L0),
-    (n-1)/(2 L')) with the first term alone when L' is undefined.  Lengths
-    within tol.length_tie_rel (relative) of L0 count as ties.
+    maximal_edges, never broken silently.  Lambda = min(1/L0, 1/(2 L')),
+    the paper's min(n/(2 L0), (n-1)/(2 L')) at n = 2, with the first term
+    alone when L' is undefined.  Lengths within tol.length_tie_rel
+    (relative) of L0 count as ties.
     """
     if not spec.edges:
         raise SurfaceValidationError("surface has no edges")
     tie_rel = tol.length_tie_rel
-    n = spec.dimension
     L0 = max(e.length for e in spec.edges)
     maximal = tuple(e.id for e in spec.edges if e.length >= L0 * (1 - tie_rel))
     two_step_best = None
@@ -355,9 +359,9 @@ def length_scales(spec: ConeSurfaceSpec,
         if two_step_best is None or total > two_step_best:
             two_step_best = total
     lprime = None if two_step_best is None else two_step_best / 2.0
-    lam = n / (2.0 * L0)
+    lam = 1.0 / L0
     if lprime is not None:
-        lam = min(lam, (n - 1) / (2.0 * lprime))
+        lam = min(lam, 1.0 / (2.0 * lprime))
     return LengthScales(L0=L0, Lprime=lprime, Lambda=lam, maximal_edges=maximal)
 
 

@@ -4,11 +4,12 @@ For a spectral parameter lambda in the lower half plane the matrix entry
 receiving edge f into edge e (allowed only when f terminates where e
 emanates) is
 
-    M[e, f] = C(e, f) * lambda^{-(n-1)/2} * exp(i * lambda * ell_f),
+    M[e, f] = C(e, f) * lambda^{-1/2} * exp(i * lambda * ell_f),
 
 where C(e, f) is the cone's diffraction coefficient at the turning angle
 theta_from(e) - theta_to(f) and ell_f is the length of the incoming edge.
-Powers of lambda use the principal branch.  Resonances of the model are
+The power lambda^{-1/2} is the paper's lambda^{-(n-1)/2} for surfaces
+(n = 2), on the principal branch.  Resonances of the model are
 the zeros of det(I - M).
 """
 from __future__ import annotations
@@ -21,14 +22,6 @@ import numpy as np
 from .errors import NotAdjacent, NoConvergence
 from .diffraction import DiffractionEvaluator, diffraction_coefficient
 from .geometry import ConeSurfaceSpec
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    edge_index: tuple[str, ...]
-    entries: np.ndarray        # dense complex, rows receive, columns feed
-    lam: complex
-    order: int = 0             # leading order only
 
 
 @dataclass(frozen=True)
@@ -56,12 +49,11 @@ def coupling_coefficient(spec: ConeSurfaceSpec, e_id: str, f_id: str) -> complex
 
 def transfer_entry(spec: ConeSurfaceSpec, e_id: str, f_id: str,
                    lam: complex) -> complex:
-    """Single matrix entry for the adjacency f -> e at parameter lambda."""
+    """Entry M[e, f] for the adjacency f -> e: CharFunction's reference."""
     f = spec.edge(f_id)
     c = coupling_coefficient(spec, e_id, f_id)
-    p = (spec.dimension - 1) / 2.0
     lam = complex(lam)
-    return c * lam ** (-p) * np.exp(1j * lam * f.length)
+    return c * lam ** -0.5 * np.exp(1j * lam * f.length)
 
 
 class CharFunction:
@@ -86,7 +78,6 @@ class CharFunction:
         self._cols = np.asarray(cols, dtype=int)
         self._coeffs = np.asarray(coeffs, dtype=complex)
         self._lengths = np.asarray(lengths, dtype=float)
-        self._power = (spec.dimension - 1) / 2.0
         self.size = len(self.edge_index)
         self.n_evals = 0
 
@@ -95,7 +86,7 @@ class CharFunction:
         m = np.zeros((lam.size, self.size, self.size), dtype=complex)
         if self._rows.size:
             vals = (self._coeffs[None, :]
-                    * lam[:, None] ** (-self._power)
+                    * lam[:, None] ** -0.5
                     * np.exp(1j * lam[:, None] * self._lengths[None, :]))
             m[:, self._rows, self._cols] = vals
         return m
@@ -117,11 +108,11 @@ class CharFunction:
             a = -m
             a[:, idx, idx] += 1.0
             det = np.linalg.det(a)
-            # d/dlam of an entry multiplies it by (i*ell_f - p/lam)
+            # d/dlam of an entry multiplies it by (i*ell_f - 1/(2 lam))
             dm = np.zeros_like(m)
             if self._rows.size:
                 factor = (1j * self._lengths[None, :]
-                          - self._power / lam[:, None])
+                          - 0.5 / lam[:, None])
                 dm[:, self._rows, self._cols] = m[:, self._rows, self._cols] * factor
             try:
                 x = np.linalg.solve(a, -dm)
@@ -141,20 +132,6 @@ def _char_cached(spec: ConeSurfaceSpec) -> CharFunction:
 def char_function(spec: ConeSurfaceSpec) -> CharFunction:
     """Shared CharFunction for a spec (specs are immutable, so cacheable)."""
     return _char_cached(spec)
-
-
-def assemble(spec: ConeSurfaceSpec, lam: complex) -> TransferMatrix:
-    """Dense transfer matrix at one parameter value."""
-    cf = char_function(spec)
-    m = cf.matrices(np.asarray([complex(lam)]))[0]
-    return TransferMatrix(edge_index=cf.edge_index, entries=m, lam=complex(lam))
-
-
-def char_value(spec: ConeSurfaceSpec, lam: complex) -> tuple[complex, complex]:
-    """det(I - M(lambda)) and its lambda-derivative (Jacobi's formula)."""
-    cf = char_function(spec)
-    det, deriv = cf.values_and_derivs(np.asarray([complex(lam)]))
-    return complex(det[0]), complex(deriv[0])
 
 
 def null_vector(spec: ConeSurfaceSpec, lam: complex,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (AuditError, EscapedBox, NoConvergence, ZeroNearBoundary)
 from . import tolerances as tol_mod
-from .geometry import ConeSurfaceSpec, LengthScales, length_scales
+from .geometry import ConeSurfaceSpec, length_scales
 from .monodromy import char_function
 
 TWO_PI = 2.0 * math.pi
@@ -112,6 +112,9 @@ class SearchRegion:
     nu_max: float
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.nu_min, self.nu_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("strip bounds must be finite")
         if not (1.0 < self.re_min < self.re_max):
             raise ValueError("need 1 < re_min < re_max (log Re must be positive)")
         if not (0.0 <= self.nu_min < self.nu_max):
@@ -393,11 +396,11 @@ def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
     return np.asarray(cleaned, dtype=complex)
 
 
-def _seed_phase(spec: ConeSurfaceSpec, scales: LengthScales) -> float | None:
+def _seed_phase(spec: ConeSurfaceSpec, tol: tol_mod.Tolerances) -> float | None:
     """Predicted Re-coset of the resonance ladder, used to centre columns."""
     from .asymptotics import ladder_model_from_spec
     try:
-        model = ladder_model_from_spec(spec, scales)
+        model = ladder_model_from_spec(spec, tol)
     except ValueError:   # no single dominant cycle, hence no ladder
         return None
     return model.c_re
@@ -442,7 +445,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     if spec is not None:
         scales = length_scales(spec, tol)
         width = math.pi / (2.0 * scales.L0)
-        c_re = _seed_phase(spec, scales)
+        c_re = _seed_phase(spec, tol)
         if c_re is not None:
             # put the predicted coset mid-column: boundaries at c_re + w/2 (mod w)
             seed_shift = (c_re + 0.5 * width - region.re_min) % width

@@ -9,7 +9,8 @@ are not tolerances, and fixed constants that no configuration should
 change (the cotangent guard of the diffraction coefficient, structural
 slack in surface validation) stay with the code that uses them.  The CLI honours the environment
 variable ``CONERES_TOL_OVERRIDES``: it names a YAML file whose keys are a
-subset of the field names below; any other key is an error.
+subset of the field names below; any other key, or a value that is not a
+number of the field's type, is an error.
 """
 from __future__ import annotations
 
@@ -68,20 +69,35 @@ DEFAULT = Tolerances()
 
 ENV_VAR = "CONERES_TOL_OVERRIDES"
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(Tolerances)}
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
 
 
 def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
-    """Return ``base`` with the given fields replaced; unknown keys raise."""
-    unknown = set(mapping) - _FIELD_NAMES
+    """Return ``base`` with the given fields replaced.
+
+    Unknown keys raise KeyError.  A value must be a number, and an int for
+    an int field; bools and strings raise TypeError.
+    """
+    unknown = set(mapping) - _FIELD_TYPES.keys()
     if unknown:
         raise KeyError(f"unknown tolerance fields: {sorted(unknown)}")
+    for key, value in mapping.items():
+        kind = _FIELD_TYPES[key]
+        allowed = int if kind is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
     return dataclasses.replace(base, **mapping)
 
 
 def load_overrides_file(path: str, base: Tolerances = DEFAULT) -> Tolerances:
+    """``base`` with the overrides of a YAML file; ValueError if unparseable."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = "" if mark is None else f" at line {mark.line + 1}"
+            raise ValueError(f"{path}: not valid YAML{where}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a mapping of tolerance fields")
     return with_overrides(data, base)

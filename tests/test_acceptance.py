@@ -126,7 +126,7 @@ def test_criterion_04_ladder_matches_scan(two_cone, low_scan, acceptance_log):
 def test_criterion_05_string_constants(two_cone, big_scan, acceptance_log):
     rs, _ = big_scan
     model = ladder_model_from_spec(two_cone)
-    fit = fit_log_curve(rs.lambdas(), model.n, model.L0, min_re=100.0)
+    fit = fit_log_curve(rs.lambdas(), model.L0, min_re=100.0)
     # targets: C_im + i C_re ~ log(c_prod) / (2 L0) up to the coset period
     err_im = abs(fit.intercept - model.c_im)
     d = (fit.c_re_empirical - model.c_re) % model.spacing

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from coneres import (CharFunction, InsufficientData, LadderModel,
                      SearchRegion, coset_deviations, fit_log_curve,
                      gap_report, ladder_in_window, ladder_model_from_spec,
                      log_band_path, predicted_ladder, scan_strip, verify_scan,
-                     build_polygon_double, winding_number)
+                     build_polygon_double, winding_number, with_overrides)
 
 TWO_PI = 2 * math.pi
 
@@ -18,7 +19,7 @@ TWO_PI = 2 * math.pi
 
 def test_two_cone_model_constants(two_cone):
     m = ladder_model_from_spec(two_cone)
-    assert m.n == 2
+    assert [f.name for f in dataclasses.fields(m)] == ["L0", "c_prod"]
     assert m.L0 == pytest.approx(math.pi)
     assert m.c_prod == pytest.approx(-1.0 / (16 * math.pi ** 2), rel=1e-14)
     assert m.spacing == pytest.approx(1.0, abs=1e-15)
@@ -46,6 +47,14 @@ def test_model_requires_unique_maximal_pair():
         ladder_model_from_spec(eq)
 
 
+def test_model_reads_tie_from_tol(triangle_345):
+    # a loose tie makes the 4-side count as maximal next to the 5-side
+    assert ladder_model_from_spec(triangle_345).L0 == 5.0
+    with pytest.raises(ValueError, match="not unique"):
+        ladder_model_from_spec(triangle_345,
+                               with_overrides({"length_tie_rel": 0.25}))
+
+
 # ---------------------------------------------------------------------------
 # predicted ladder
 
@@ -53,7 +62,7 @@ def test_model_requires_unique_maximal_pair():
 def test_ladder_unit_coupling_reference():
     # with c_prod = 1 and L0 = pi the k-th zero sits near k with
     # Im = -log(k)/(2 pi)
-    m = LadderModel(n=2, L0=math.pi, c_prod=1.0 + 0j)
+    m = LadderModel(L0=math.pi, c_prod=1.0 + 0j)
     lam = predicted_ladder(m, [100])[0]
     assert lam.real == pytest.approx(100.0, abs=2e-3)
     assert lam.imag == pytest.approx(-math.log(100) / TWO_PI, abs=1e-3)
@@ -69,7 +78,7 @@ def test_ladder_zeros_satisfy_characteristic_equation(two_cone):
 
 
 def test_ladder_rejects_small_indices():
-    m = LadderModel(n=2, L0=math.pi, c_prod=1.0 + 0j)
+    m = LadderModel(L0=math.pi, c_prod=1.0 + 0j)
     with pytest.raises(ValueError):
         predicted_ladder(m, [0])
 
@@ -108,7 +117,7 @@ def synthetic_ladder(n_points=60, slope=-1.0 / TWO_PI, c_im=0.3, c_re=0.3):
 
 def test_fit_recovers_synthetic_string():
     lam = synthetic_ladder()
-    rep = fit_log_curve(lam, 2, math.pi)
+    rep = fit_log_curve(lam, math.pi)
     assert rep.slope == pytest.approx(-1.0 / TWO_PI, abs=1e-10)
     assert rep.intercept == pytest.approx(0.3, abs=1e-9)
     assert rep.spacing_mean == pytest.approx(1.0, abs=1e-12)
@@ -120,18 +129,26 @@ def test_fit_recovers_synthetic_string():
 def test_fit_requires_enough_points():
     lam = synthetic_ladder(n_points=5)
     with pytest.raises(InsufficientData):
-        fit_log_curve(lam, 2, math.pi)
+        fit_log_curve(lam, math.pi)
 
 
 def test_fit_min_re_filter():
     lam = synthetic_ladder(n_points=40)
-    rep = fit_log_curve(lam, 2, math.pi, min_re=120.0)
+    rep = fit_log_curve(lam, math.pi, min_re=120.0)
     assert rep.count == 20
     assert rep.re_range[0] >= 120.0
 
 
+def test_fit_options_are_keyword_only():
+    # an old call with a dimension in second place must not fit with L0 = 2
+    with pytest.raises(TypeError):
+        fit_log_curve(synthetic_ladder(), 2, math.pi)
+    with pytest.raises(TypeError):
+        fit_log_curve(synthetic_ladder(), math.pi, 120.0)
+
+
 def test_fit_report_serialization():
-    rep = fit_log_curve(synthetic_ladder(), 2, math.pi)
+    rep = fit_log_curve(synthetic_ladder(), math.pi)
     d = rep.to_dict()
     assert set(d) >= {"slope", "intercept", "spacing_mean", "c_re_empirical"}
     text = rep.to_text()

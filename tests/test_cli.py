@@ -103,6 +103,14 @@ def test_scan_bad_strip_is_one_line():
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("strip", [("--re", "100", "inf", "--nu", "0.05", "0.35"),
+                                   ("--re", "100", "104", "--nu", "0.05", "inf")])
+def test_scan_infinite_strip_is_one_line(strip):
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4", *strip, "--jobs", "1")
+    assert r.returncode == 1
+    assert r.stderr == "error: strip bounds must be finite\n"
+
+
 def test_scan_numerical_failure_is_one_line(tmp_path):
     # a contour point budget too small for any refinement
     cfg = tmp_path / "tol.yaml"
@@ -166,6 +174,22 @@ def test_tolerance_override_removed_field_rejected(tmp_path):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("content", [None, ": : :\n", "- 1\n- 2\n",
+                                     'newton_max_iter: "abc"\n'])
+def test_tolerance_override_bad_file_is_one_line(tmp_path, content):
+    # a missing file, unparseable YAML, a list, a string for an int field
+    cfg = tmp_path / "tol.yaml"
+    if content is not None:
+        cfg.write_text(content)
+    for args in (("scan", "--polygon", "0,0 3,0 0,4", "--re", "100", "102",
+                  "--nu", "0.05", "0.35", "--jobs", "1"),
+                 ("validate", "--polygon", "0,0 3,0 0,4")):
+        r = run_cli(*args, env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+        assert r.returncode == 1, args
+        assert r.stderr.startswith("error: bad tolerance override:"), r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+
+
 # ---------------------------------------------------------------------------
 # other commands
 
@@ -188,6 +212,24 @@ def test_higher_dimension_rejected(tmp_path):
         assert r.stderr.startswith("error:"), args
         assert "two-dimensional" in r.stderr
         assert len(r.stderr.splitlines()) == 1, args
+
+
+@pytest.mark.parametrize("text", [
+    "version: 1\ndimension: 3\npolygon: [[0,0],[3,0],[0,4]]\n",
+    "version: 1\npolygon: 5\n", "version: 1\npolygon:\n",
+    "version: 1\npolygon: [[0,0], 1, [0,4]]\n",
+])
+def test_bad_polygon_document_is_one_line(tmp_path, text):
+    spec_file = tmp_path / "surface.yaml"
+    spec_file.write_text(text)
+    want = "two-dimensional" if "dimension" in text else "malformed surface document"
+    for args in (("validate",),
+                 ("scan", "--re", "50", "60", "--nu", "0.1", "0.3")):
+        r = run_cli(*args, "--input", str(spec_file))
+        assert r.returncode == 1, args
+        assert r.stderr.startswith("error:"), r.stderr
+        assert want in r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
 def test_validate_square_exit_code():

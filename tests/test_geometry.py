@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -40,7 +41,8 @@ def test_link_distance_values():
 
 
 def test_two_cone_structure(two_cone):
-    assert two_cone.dimension == 2
+    assert [f.name for f in dataclasses.fields(two_cone)] == ["cone_points",
+                                                              "edges"]
     assert len(two_cone.cone_points) == 2
     assert len(two_cone.edges) == 2
     for p in two_cone.cone_points:
@@ -144,7 +146,6 @@ def test_load_rejects_bad_input():
 
 def test_validate_catches_broken_reversal(two_cone):
     bad = ConeSurfaceSpec(
-        dimension=2,
         cone_points=two_cone.cone_points,
         edges=(
             two_cone.edges[0],
@@ -160,19 +161,38 @@ def test_validate_catches_broken_reversal(two_cone):
 def test_validate_catches_bad_angles():
     with pytest.raises(SurfaceValidationError):
         validate_spec(ConeSurfaceSpec(
-            dimension=2,
             cone_points=(ConePoint(id="P", cone_angle=-1.0),),
             edges=(),
         ))
 
 
 def test_rejects_higher_dimension(two_cone):
-    with pytest.raises(SurfaceValidationError, match="two-dimensional"):
-        validate_spec(ConeSurfaceSpec(dimension=3, cone_points=two_cone.cone_points,
-                                      edges=two_cone.edges))
+    # a spec cannot hold a dimension; a document naming one must say 2
+    with pytest.raises(TypeError):
+        ConeSurfaceSpec(dimension=3, cone_points=two_cone.cone_points,
+                        edges=two_cone.edges)
+    assert "dimension: 2" in serialize_surface(two_cone)
     text = serialize_surface(two_cone).replace("dimension: 2", "dimension: 3")
     with pytest.raises(SurfaceValidationError, match="two-dimensional"):
         load_surface(text)
+    with pytest.raises(SurfaceValidationError, match="two-dimensional"):
+        load_surface("version: 1\ndimension: 3\npolygon: [[0,0],[3,0],[0,4]]\n")
+
+
+@pytest.mark.parametrize("polygon", ["5", "", "[[0,0], 1, [0,4]]",
+                                     "[[0,0], [3,0,1], [0,4]]", "abc"])
+def test_load_rejects_malformed_polygon(polygon):
+    with pytest.raises(SurfaceValidationError,
+                       match="^malformed surface document: "):
+        load_surface(f"version: 1\npolygon: {polygon}\n")
+
+
+def test_load_keeps_polygon_error_messages():
+    # well-formed vertex lists still fail on the polygon itself
+    with pytest.raises(PolygonError, match="^need at least 3 vertices$"):
+        load_surface("version: 1\npolygon: [[0,0],[1,0]]\n")
+    with pytest.raises(PolygonError, match="strictly convex"):
+        load_surface("version: 1\npolygon: [[0,0],[0,4],[3,0]]\n")
 
 
 # ---------------------------------------------------------------------------

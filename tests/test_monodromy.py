@@ -7,8 +7,7 @@ import pytest
 
 from coneres import (CharFunction, ConePoint, ConeSurfaceSpec, GeodesicEdge,
                      GeometricRaySingularity, NoConvergence, NotAdjacent,
-                     SearchRegion, assemble, char_function, char_value,
-                     coupling_coefficient, ladder_model_from_spec, null_vector,
+                     SearchRegion, char_function, coupling_coefficient, ladder_model_from_spec, null_vector,
                      predicted_ladder, scan_strip, transfer_entry)
 
 FOUR_PI = 4 * math.pi
@@ -39,13 +38,14 @@ def test_transfer_entry_two_cone(two_cone):
 
 def test_assemble_matches_entries(triangle_345):
     lam = 35.0 - 0.2j
-    tm = assemble(triangle_345, lam)
-    pos = {eid: i for i, eid in enumerate(tm.edge_index)}
+    cf = CharFunction(triangle_345)
+    entries = cf.matrices(np.asarray([lam]))[0]
+    pos = {eid: i for i, eid in enumerate(cf.edge_index)}
     for f, e in triangle_345.adjacent_pairs():
         want = transfer_entry(triangle_345, e.id, f.id, lam)
-        assert tm.entries[pos[e.id], pos[f.id]] == pytest.approx(want, rel=1e-12)
+        assert entries[pos[e.id], pos[f.id]] == pytest.approx(want, rel=1e-12)
     # non-adjacent entries are exactly zero
-    nz = np.count_nonzero(tm.entries)
+    nz = np.count_nonzero(entries)
     assert nz == sum(1 for _ in triangle_345.adjacent_pairs())
 
 
@@ -86,13 +86,6 @@ def test_derivative_against_finite_differences(triangle_345):
         fd = (cf.values(np.asarray([lam + h]))[0]
               - cf.values(np.asarray([lam - h]))[0]) / (2 * h)
         assert dv[0] == pytest.approx(fd, rel=1e-6)
-
-
-def test_char_value_wrapper(two_cone):
-    v, dv = char_value(two_cone, 30.0 - 0.2j)
-    cf = char_function(two_cone)
-    vv, dd = cf.values_and_derivs(np.asarray([30.0 - 0.2j]))
-    assert v == vv[0] and dv == dd[0]
 
 
 def test_char_function_cached(two_cone):
@@ -154,7 +147,7 @@ def test_reflection_identity_two_cone(two_cone):
 def _isolated_edge_spec():
     p = (ConePoint("P1", FOUR_PI), ConePoint("P2", FOUR_PI))
     e = (GeodesicEdge("g", "P1", "P2", 1.0, 0.0, 0.0, "g"),)
-    return ConeSurfaceSpec(2, p, e)
+    return ConeSurfaceSpec(p, e)
 
 
 def test_no_adjacency_means_unit_determinant():
@@ -171,7 +164,7 @@ def test_geometric_coupling_fails_at_build():
         GeodesicEdge("f", "P1", "P2", 1.0, math.pi, 0.0, "fbar"),
         GeodesicEdge("fbar", "P2", "P1", 1.0, 0.0, 0.0, "f"),
     )
-    bad = ConeSurfaceSpec(2, p, edges)
+    bad = ConeSurfaceSpec(p, edges)
     with pytest.raises(GeometricRaySingularity):
         CharFunction(bad)
 

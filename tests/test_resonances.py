@@ -126,6 +126,10 @@ def test_search_region_validation():
         SearchRegion(5.0, 10.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         SearchRegion(5.0, 10.0, -0.1, 0.5)
+    for bounds in ((100.0, math.inf, 0.1, 0.5), (100.0, 104.0, 0.05, math.inf),
+                   (100.0, math.nan, 0.1, 0.5), (100.0, 104.0, math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            SearchRegion(*bounds)
 
 
 def test_resonance_nu(two_cone):

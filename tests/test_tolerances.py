@@ -6,6 +6,7 @@ import pytest
 
 import coneres
 from coneres import Tolerances, with_overrides
+from coneres.tolerances import load_overrides_file
 
 SRC = pathlib.Path(coneres.__file__).parent
 FIELDS = [f.name for f in dataclasses.fields(Tolerances)]
@@ -37,3 +38,29 @@ def test_no_default_record_outside_tolerances_module():
 def test_removed_fields_are_unknown_override_keys(key):
     with pytest.raises(KeyError):
         with_overrides({key: 1.0})
+
+
+@pytest.mark.parametrize("mapping", [
+    {"newton_max_iter": "abc"}, {"newton_max_iter": 50.0},
+    {"newton_max_iter": True}, {"boundary_guard": "1e-9"},
+    {"boundary_guard": False}, {"boundary_guard": None},
+])
+def test_override_values_must_be_numbers_of_the_field_type(mapping):
+    with pytest.raises(TypeError):
+        with_overrides(mapping)
+
+
+def test_override_values_of_the_field_type_apply():
+    tol = with_overrides({"newton_max_iter": 7, "boundary_guard": 1,
+                          "newton_residual": 1e-12})
+    assert (tol.newton_max_iter, tol.boundary_guard, tol.newton_residual) \
+        == (7, 1, 1e-12)
+
+
+@pytest.mark.parametrize("text", [": : :", "- 1\n- 2\n"])
+def test_override_file_must_hold_a_mapping(tmp_path, text):
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_overrides_file(str(cfg))
+    assert "\n" not in str(info.value)

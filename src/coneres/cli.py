@@ -344,7 +344,9 @@ def main(argv=None) -> int:
     try:
         tol = tol_mod.from_environment()
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        return _fail(f"bad tolerance override: {exc}")
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        return _fail(f"bad tolerance override: {msg}")
     try:
         return args.func(args, tol)
     except (SurfaceValidationError, PolygonError) as exc:

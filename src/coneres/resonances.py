@@ -396,16 +396,6 @@ def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
     return np.asarray(cleaned, dtype=complex)
 
 
-def _seed_phase(spec: ConeSurfaceSpec, tol: tol_mod.Tolerances) -> float | None:
-    """Predicted Re-coset of the resonance ladder, used to centre columns."""
-    from .asymptotics import ladder_model_from_spec
-    try:
-        model = ladder_model_from_spec(spec, tol)
-    except ValueError:   # no single dominant cycle, hence no ladder
-        return None
-    return model.c_re
-
-
 def _scan_column(f, box: Box, width: float,
                  tol: tol_mod.Tolerances) -> tuple[Box, int, list[Resonance]]:
     """Winding of one column box and its refined zeros."""
@@ -442,15 +432,18 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         raise ValueError("need a spec or an explicit char_fn")
 
     seed_shift = 0.0
-    if spec is not None:
-        scales = length_scales(spec, tol)
-        width = math.pi / (2.0 * scales.L0)
-        c_re = _seed_phase(spec, tol)
-        if c_re is not None:
-            # put the predicted coset mid-column: boundaries at c_re + w/2 (mod w)
-            seed_shift = (c_re + 0.5 * width - region.re_min) % width
-    else:
+    if spec is None:
         width = (region.re_max - region.re_min) / 16.0
+    else:
+        from .asymptotics import ladder_model_from_spec
+        try:
+            model = ladder_model_from_spec(spec, tol)
+        except ValueError:   # no single dominant cycle, hence no ladder
+            width = math.pi / (2.0 * length_scales(spec, tol).L0)
+        else:
+            width = math.pi / (2.0 * model.L0)
+            # put the predicted coset mid-column: boundaries at c_re + w/2 (mod w)
+            seed_shift = (model.c_re + 0.5 * width - region.re_min) % width
 
     last_exc: Exception | None = None
     for attempt in range(tol.grid_retry_shifts):

@@ -150,6 +150,16 @@ def test_tolerance_override_unknown_key(tmp_path):
     assert r.returncode == 1
 
 
+def test_tolerance_override_unknown_key_message_is_bare(tmp_path):
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text("definitely: 1\n")
+    r = run_cli("validate", "--polygon", "0,0 3,0 0,4",
+                env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 1
+    assert r.stderr == ("error: bad tolerance override: "
+                        "unknown tolerance fields: ['definitely']\n")
+
+
 def test_tolerance_override_boundary_guard_reaches_scan(tmp_path):
     # no zero clears every column wall by 0.2, on any grid shift
     cfg = tmp_path / "tol.yaml"

@@ -7,8 +7,10 @@ import pytest
 
 from coneres import (CharFunction, ConePoint, ConeSurfaceSpec, GeodesicEdge,
                      GeometricRaySingularity, NoConvergence, NotAdjacent,
-                     SearchRegion, char_function, coupling_coefficient, ladder_model_from_spec, null_vector,
+                     SearchRegion, build_polygon_double, char_function,
+                     coupling_coefficient, ladder_model_from_spec, null_vector,
                      predicted_ladder, scan_strip, transfer_entry)
+from coneres.monodromy import MAX_SUM_EDGES
 
 FOUR_PI = 4 * math.pi
 C_PROD_TWO_CONE = -1.0 / (16 * math.pi ** 2)
@@ -76,6 +78,41 @@ def test_char_values_match_dense_determinant(triangle_345):
         want = np.linalg.det(np.eye(6) - m)
         got = cf.values(np.asarray([lam]))[0]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+# irregular convex polygons: no side ties, no turning angle on a geometric ray
+QUADRILATERAL = [(0, 0), (4, 0.3), (4.6, 3.1), (0.7, 3.9)]
+PENTAGON = [(0, 0), (4, -0.5), (5.5, 2.7), (2.6, 5.0), (-0.8, 3.1)]
+HEXAGON = [(0, 0), (3.7, -0.6), (6.1, 1.4), (6.4, 4.3), (3.0, 6.0), (-0.7, 3.4)]
+HEPTAGON = [(0, 0), (3.1, -0.9), (5.8, 0.4), (7.0, 3.2), (5.3, 6.1),
+            (1.9, 6.6), (-0.9, 3.5)]
+
+
+def _strip_points(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(5, 2200, n) + 1j * rng.uniform(-1.5, 0.5, n)
+
+
+@pytest.mark.parametrize("vertices, edges, terms", [
+    (None, 2, 2), ([(0, 0), (3, 0), (0, 4)], 6, 9), (QUADRILATERAL, 8, 17),
+    (PENTAGON, 10, 33), (HEXAGON, 12, 65),
+], ids=["two-cone", "3-4-5", "quadrilateral", "pentagon", "hexagon"])
+def test_exponential_sum_matches_lu(two_cone, vertices, edges, terms):
+    spec = two_cone if vertices is None else build_polygon_double(vertices)
+    cf = CharFunction(spec)
+    assert cf.size == edges <= MAX_SUM_EDGES
+    assert len(cf._terms[2]) == terms     # nonzero (|S|, ell_S) groups
+    lam = _strip_points(200, seed=edges)
+    want = np.linalg.det(np.eye(edges) - cf.matrices(lam))
+    got = cf.values(lam)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+def test_values_take_lu_above_edge_cap():
+    cf = CharFunction(build_polygon_double(HEPTAGON))
+    assert cf.size == 14 > MAX_SUM_EDGES
+    lam = _strip_points(100, seed=14)
+    assert np.array_equal(cf.values(lam), cf.values_and_derivs(lam)[0])
 
 
 def test_derivative_against_finite_differences(triangle_345):

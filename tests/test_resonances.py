@@ -5,8 +5,9 @@ import pytest
 
 from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      FunctionHandle, NoConvergence, SearchRegion,
-                     ZeroNearBoundary, count_zeros, polyline_path,
-                     refine_root, scan_strip, winding_number, with_overrides)
+                     ZeroNearBoundary, char_function, count_zeros,
+                     polyline_path, refine_root, scan_strip, winding_number,
+                     with_overrides)
 from coneres.resonances import _guarded_split
 
 
@@ -264,3 +265,27 @@ def test_scan_audit_total(triangle_345):
     assert rs.total_winding_audited > 4   # several interleaved families
     lams = rs.lambdas()
     assert np.all(np.diff(lams.real) >= 0)
+
+
+def test_scan_decisions_do_not_depend_on_values_kernel(triangle_345):
+    # values by the dense LU of I - M instead of the exponential sum: the
+    # same windings, split lines and Newton starts, hence the same zeros
+    # from the same number of evaluated points
+    region = SearchRegion(100.0, 120.0, 0.05, 0.35)
+    cf = char_function(triangle_345)
+    before = cf.n_evals
+    default = scan_strip(triangle_345, region)
+    default_evals = cf.n_evals - before
+
+    lu = CharFunction(triangle_345)
+    points = []
+
+    def lu_values(lam):
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        points.append(lam.size)
+        return np.linalg.det(np.eye(lu.size) - lu.matrices(lam))
+
+    handle = FunctionHandle(lu_values, lambda lam: lu.values_and_derivs(lam)[1])
+    by_lu = scan_strip(triangle_345, region, char_fn=handle)
+    assert by_lu.items == default.items
+    assert sum(points) == default_evals

@@ -9,7 +9,8 @@ example ``git archive`` of the parent commit and of the change, each
 unpacked in its own directory.  For every workload, pair ``i`` runs
 ``python3 perfbench/run.py --workload W --seconds S --seed SEED`` in both
 checkouts, base first when ``i`` is even and head first when it is odd,
-and keeps the last stdout line of each run verbatim.  After the pairs, one
+and keeps the JSON object of the last stdout line of each run (``json.dumps``
+of it gives that line back byte for byte).  After the pairs, one
 ``--trace 1`` run per workload and checkout gives the per-layer counts and
 the ``monodromy.us_per_point`` batch sweep.  The output holds those lines,
 the environment the runs printed (``nproc``, CPU model, commits), and per

@@ -67,9 +67,10 @@ def transfer_entry(spec: ConeSurfaceSpec, e_id: str, f_id: str,
 
 
 # Above this many edges the 2^E-subset sum stops paying: on a 2-vCPU Xeon
-# at batches of 22 to 2000, a hexagon double (E = 12, 65 terms) took 3.8
-# against 5.6-6.7 us per point for the LU of I - M, a heptagon double
-# (E = 14, 129 terms) 7.3-7.8 against 7.0-7.9, and 2^14 minors to build.
+# with one BLAS thread, at batches of 22 to 2000, a hexagon double (E = 12,
+# 65 terms) took 3.8-3.9 against 5.6-6.7 us per point for the LU of I - M,
+# a heptagon double (E = 14, 129 terms) 7.3-7.8 against 7.0-7.9, with
+# 2^14 minors to build.
 MAX_SUM_EDGES = 12
 
 

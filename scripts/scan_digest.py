@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of every output file of the two reference scans.
+
+    python3 scripts/scan_digest.py [CHECKOUT] [--short]
+
+Imports ``coneres`` from ``CHECKOUT/src`` (default: the checkout this
+script lives in), runs two scans through ``coneres.cli.main`` into a
+temporary directory, and prints one ``sha256  file`` line per output
+file, eight in all:
+
+- ``tri345/``: the doubled 3-4-5 triangle,
+  ``--re 100 300 --nu 0.05 0.35 --jobs 1``
+- ``twocone/``: ``build_two_cone_surface()`` written as a surface file,
+  ``--re 50 500 --nu 0.28 0.42 --jobs 2 --verify``
+
+Two checkouts produce byte-identical scans exactly when ``diff`` finds
+no difference between the outputs of this script run on each.
+``--short`` cuts both strips to a few units of Re, for smoke tests.
+The scans' own stdout goes to stderr; the exit code is the first
+nonzero exit code of a scan, or 0.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+
+def scans(surface: Path, short: bool) -> dict[str, list[str]]:
+    """``coneres scan`` arguments of each reference scan, by output name."""
+    return {
+        "tri345": ["--polygon", "0,0 3,0 0,4", "--re", "100",
+                   "104" if short else "300", "--nu", "0.05", "0.35",
+                   "--jobs", "1"],
+        "twocone": ["--input", str(surface), "--re", "50",
+                    "70" if short else "500", "--nu", "0.28", "0.42",
+                    "--jobs", "2", "--verify"],
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkout", nargs="?",
+                   default=str(Path(__file__).resolve().parents[1]))
+    p.add_argument("--short", action="store_true",
+                   help="scan short strips (smoke test)")
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
+    from coneres import build_two_cone_surface, cli, serialize_surface
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        surface = root / "two_cone.yaml"
+        surface.write_text(serialize_surface(build_two_cone_surface()))
+        runs = scans(surface, args.short)
+        for name, scan_args in runs.items():
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = cli.main(["scan", *scan_args, "--out", str(root / name)])
+            if rc:
+                print(f"error: {name} scan exited {rc}", file=sys.stderr)
+                return rc
+        for name in runs:
+            for path in sorted((root / name).iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {name}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,8 @@ def parse_args(argv):
     p.add_argument("--nu-max", type=float, default=0.42)
     p.add_argument("--length", type=float, default=math.pi,
                    help="edge length of the two-cone surface")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: scans run in one process")
     p.add_argument("--csv", type=str, default=None,
                    help="write re,im,residual,winding rows here")
     return p.parse_args(argv)

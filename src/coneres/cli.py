@@ -9,8 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis or
 verification failure, or a numerical failure of the scan
 (ZeroNearBoundary, AuditError, NoConvergence, EscapedBox).  Scan outputs
-are byte-deterministic for a fixed surface, region and seed, and do not
-depend on --jobs.
+are byte-deterministic for a fixed surface, region and seed.  --jobs is
+accepted and ignored, because scans run in one process.
 """
 from __future__ import annotations
 
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--nu", nargs=2, type=float, required=True,
                     metavar=("LO", "HI"))
     sc.add_argument("--out", help="output directory")
-    sc.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sc.add_argument("--jobs", type=int, default=1,
+                    help="accepted and ignored: scans run in one process")
     sc.add_argument("--seed", type=int, default=7)
     sc.add_argument("--verify", action="store_true",
                     help="check the scan against the string law")

@@ -17,6 +17,7 @@ kernel degenerates to propagation and the coefficient is singular.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,8 +25,6 @@ import numpy as np
 
 from .errors import GeometricRaySingularity
 from .geometry import TWO_PI, link_distance, pi_related
-
-_SERIES_CHUNK = 1_000_000
 
 # distance, in cotangent-argument units, from a multiple of pi at which
 # diffraction_coefficient refuses to evaluate (a geometric ray)
@@ -93,14 +92,12 @@ def diffraction_series_oracle(ev: DiffractionEvaluator, dtheta: float,
         raise ValueError("abel_radius must lie in (0, 1)")
     a = ev.cone_angle
     beta = ev.beta
+    # terms +-k sum to q_+^k + q_-^k, q_+- = r e^{i beta (+-dtheta - pi)}:
+    # two finite geometric series, each q (1 - q^K) / (1 - q) in closed form
     total = 1.0 + 0.0j
-    k0 = 1
-    while k0 <= terms:
-        k1 = min(terms, k0 + _SERIES_CHUNK - 1)
-        k = np.arange(k0, k1 + 1, dtype=float)
-        total += 2.0 * np.sum(
-            abel_radius ** k * np.exp(-1j * math.pi * beta * k)
-            * np.cos(beta * k * dtheta)
-        )
-        k0 = k1 + 1
+    for sign in (1.0, -1.0):
+        phase = beta * (sign * dtheta - math.pi)
+        q = abel_radius * cmath.exp(1j * phase)
+        q_terms = abel_radius ** terms * cmath.exp(1j * phase * terms)
+        total += q * (1.0 - q_terms) / (1.0 - q)
     return complex(total / a)

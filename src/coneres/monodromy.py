@@ -86,8 +86,9 @@ class CharFunction:
     Jacobi-formula derivative: Newton runs on them, and a closed-form
     derivative of the sum would move the last bits of every refined zero.
     ``matrices`` is the dense M that null vectors factor and that the sum
-    is tested against.  Everything runs over batches of lambda values,
-    and evaluation counts are kept for workload accounting.
+    is tested against.  Everything runs over batches of lambda values, and
+    ``n_evals`` counts every point; a scan runs in one process, so its
+    count is exact whatever ``jobs`` says.
     """
 
     def __init__(self, spec: ConeSurfaceSpec):

@@ -4,14 +4,16 @@ Winding numbers are computed by phase continuation: walk a closed
 contour, refine the sampling until consecutive phase increments stay
 below a safe step, and sum.  Boxes with positive winding are bisected
 (with guarded split lines) until each holds a single zero, which Newton
-then polishes using the analytic derivative.  Every subdivision and the
-final scan are audited: windings must be conserved exactly.
+then polishes using the analytic derivative.  A strip scan does this in
+rounds over the boxes of all its columns, with one Newton batch a round;
+each box is decided on its own samples and iterates alone.  Every
+subdivision and the final scan are audited: windings must be conserved
+exactly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +43,7 @@ class FunctionHandle:
     def values_and_derivs(self, lam):
         if self._derivs is None:
             raise NoConvergence("no derivative available for Newton refinement")
-        return (np.atleast_1d(np.asarray(self._values(lam))),
-                np.atleast_1d(np.asarray(self._derivs(lam))))
+        return self.values(lam), np.atleast_1d(np.asarray(self._derivs(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +239,50 @@ def refine_root(f, lam0: complex, box: Box, multiplicity: int = 1,
     diameter.  Stops when |f| < newton_residual * (1 + |f'|).  Raises
     NoConvergence or EscapedBox.
     """
-    lam = complex(lam0)
-    cap = box.diameter
-    roam = box.inflate(3.0)
+    (result,) = _refine_roots(f, [(lam0, box, multiplicity)], tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
+    """refine_root on every (lam0, box, multiplicity) start at once.
+
+    One values_and_derivs call per iteration serves all live starts.  The
+    step runs on Python complex scalars, as numpy's complex division can
+    differ in the last bit.  Returns (lam, |f(lam)|) or the exception per
+    start; a NoConvergence from f fails every live start.
+    """
+    lams = {i: complex(lam0) for i, (lam0, _, _) in enumerate(starts)}
+    roams = [box.inflate(3.0) for _, box, _ in starts]
+    done: dict = {}
     for _ in range(tol.newton_max_iter):
-        v, d = f.values_and_derivs(np.asarray([lam], dtype=complex))
-        v, d = complex(v[0]), complex(d[0])
-        if abs(v) < tol.newton_residual * (1.0 + abs(d)):
-            if not box.contains(lam):
-                raise EscapedBox(f"root {lam} left its box {box}")
-            return lam, abs(v)
-        if d == 0 or not np.isfinite(abs(d)) or not np.isfinite(abs(v)):
-            raise NoConvergence("degenerate derivative during Newton")
-        step = multiplicity * v / d
-        mag = abs(step)
-        if mag > cap:
-            step *= cap / mag
-        lam -= step
-        if not roam.contains(lam):
-            raise EscapedBox(f"Newton iterate {lam} escaped near {box}")
-    raise NoConvergence(f"no convergence within {tol.newton_max_iter} iterations")
+        if not lams:
+            break
+        try:
+            vs, ds = f.values_and_derivs(np.asarray(list(lams.values()), dtype=complex))
+        except NoConvergence as exc:
+            return [done.get(i, exc) for i in range(len(starts))]
+        for (i, lam), v, d in zip(list(lams.items()), vs, ds):
+            _, box, multiplicity = starts[i]
+            v, d = complex(v), complex(d)
+            if abs(v) < tol.newton_residual * (1.0 + abs(d)):
+                done[i] = ((lam, abs(v)) if box.contains(lam) else
+                           EscapedBox(f"root {lam} left its box {box}"))
+            elif d == 0 or not math.isfinite(abs(d)) or not math.isfinite(abs(v)):
+                done[i] = NoConvergence("degenerate derivative during Newton")
+            else:
+                step = multiplicity * v / d
+                mag = abs(step)
+                if mag > box.diameter:
+                    step *= box.diameter / mag
+                lams[i] = lam = lam - step
+                if roams[i].contains(lam):
+                    continue
+                done[i] = EscapedBox(f"Newton iterate {lam} escaped near {box}")
+            del lams[i]
+    stalled = NoConvergence(f"no convergence within {tol.newton_max_iter} iterations")
+    return [done.get(i, stalled) for i in range(len(starts))]
 
 
 # ---------------------------------------------------------------------------
@@ -313,35 +338,34 @@ def _guarded_split(f, box: Box, w: int,
     ) from last_exc
 
 
-def _extract_zeros(f, box: Box, w: int, newton_scale: float,
-                   tol: tol_mod.Tolerances) -> list[Resonance]:
-    """Localise and refine the w zeros of f inside box (winding verified)."""
-    out: list[Resonance] = []
-    stack: list[tuple[Box, int]] = [(box, w)]
-    while stack:
-        b, wb = stack.pop()
-        if wb == 0:
-            continue
-        ready = max(b.width, b.height) <= 1.6 * newton_scale
-        if wb == 1 and ready:
-            try:
-                lam, resid = refine_root(f, b.center, b, 1, tol)
-                out.append(Resonance(lam=lam, residual=resid, winding=1, box=b))
+def _scan_columns(f, boxes: list[Box], newton_scale: float,
+                  tol: tol_mod.Tolerances) -> list[tuple[Box, int, list[Resonance]]]:
+    """(box, winding, refined zeros) of every column box, in rounds."""
+    counts = [count_zeros(f, box, tol) for box in boxes]
+    found: list[list[Resonance]] = [[] for _ in boxes]
+    work = [(col, box, w) for col, (box, w) in enumerate(zip(boxes, counts)) if w]
+    while work:
+        ready = [(col, b) for col, b, wb in work
+                 if wb == 1 and max(b.width, b.height) <= 1.6 * newton_scale]
+        refined = _refine_roots(f, [(b.center, b, 1) for _, b in ready], tol)
+        results = dict(zip(ready, refined))
+        split: list[tuple[int, Box, int]] = []
+        for col, b, wb in work:
+            if isinstance(results.get((col, b)), tuple):
+                lam, resid = results[col, b]
+                found[col].append(Resonance(lam=lam, residual=resid, winding=1, box=b))
                 continue
-            except (NoConvergence, EscapedBox):
-                pass   # fall through to a further split
-        if wb > 1 and b.diameter < tol.multiplicity_diameter:
-            # refuses to separate below the multiplicity scale: report as one
-            lam, resid = refine_root(f, b.center, b.inflate(4.0), wb, tol)
-            out.append(Resonance(lam=lam, residual=resid, winding=wb, box=b))
-            continue
-        if b.diameter < tol.min_box_diameter:
-            raise NoConvergence(f"cannot localise zero inside {b}")
-        stack.extend(_guarded_split(f, b, wb, tol))
-    total = sum(r.winding for r in out)
-    if total != w:
-        raise AuditError(f"extraction lost windings: {w} box vs {total} found")
-    return out
+            # a failed Newton start falls through to a further split
+            if wb > 1 and b.diameter < tol.multiplicity_diameter:
+                # refuses to separate below the multiplicity scale: report as one
+                lam, resid = refine_root(f, b.center, b.inflate(4.0), wb, tol)
+                found[col].append(Resonance(lam=lam, residual=resid, winding=wb, box=b))
+                continue
+            if b.diameter < tol.min_box_diameter:
+                raise NoConvergence(f"cannot localise zero inside {b}")
+            split.extend((col, sb, sw) for sb, sw in _guarded_split(f, b, wb, tol) if sw)
+        work = split
+    return list(zip(boxes, counts, found))
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +410,12 @@ def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
         pts.append(complex(b.re_hi, b.im_hi))
         pts.append(complex(b.re_lo, b.im_hi))
     pts.append(pts[0])
-    # drop consecutive duplicates (zero-length joints)
+    # drop consecutive duplicates (zero-length joints); the path stays closed
     cleaned = [pts[0]]
     for p in pts[1:]:
         if p != cleaned[-1]:
             cleaned.append(p)
-    if cleaned[-1] != cleaned[0]:
-        cleaned.append(cleaned[0])
     return np.asarray(cleaned, dtype=complex)
-
-
-def _scan_column(f, box: Box, width: float,
-                 tol: tol_mod.Tolerances) -> tuple[Box, int, list[Resonance]]:
-    """Winding of one column box and its refined zeros."""
-    w = count_zeros(f, box, tol)
-    return box, w, (_extract_zeros(f, box, w, width, tol) if w else [])
 
 
 def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
@@ -413,8 +428,8 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     """Locate all zeros of det(I - M) in the strip; audit winding totals.
 
     ``char_fn`` replaces the spec's characteristic function with any
-    object having ``values`` and ``values_and_derivs``; it may not pickle,
-    so it is always scanned in this process, whatever ``jobs`` says.
+    object having ``values`` and ``values_and_derivs``.  ``jobs`` is
+    accepted and ignored, since the scan runs in one process.
 
     The strip is covered by full-height columns about half the expected
     ladder spacing wide, aligned so predicted zeros sit near column
@@ -425,7 +440,6 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     """
     if char_fn is not None:
         f = char_fn
-        jobs = 1
     elif spec is not None:
         f = char_function(spec)
     else:
@@ -450,7 +464,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         shift = seed_shift + grid_offset + attempt * 0.137 * width
         boxes = _column_boxes(region, width, shift)
         try:
-            results = _run_columns(f, boxes, width, tol, jobs)
+            results = _scan_columns(f, boxes, width, tol)
             return _assemble_set(spec, f, boxes, results, region, tol,
                                  with_null_vectors, seed)
         except ZeroNearBoundary as exc:
@@ -458,16 +472,6 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     raise ZeroNearBoundary(
         f"scan failed after {tol.grid_retry_shifts} grid shifts"
     ) from last_exc
-
-
-def _run_columns(f, boxes, width, tol, jobs):
-    n = len(boxes)
-    args = (repeat(f, n), boxes, repeat(width, n), repeat(tol, n))
-    if jobs > 1 and n > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_scan_column, *args, chunksize=8))
-    return list(map(_scan_column, *args))
 
 
 def _assemble_set(spec, f, boxes, results, region, tol,
@@ -496,16 +500,12 @@ def _assemble_set(spec, f, boxes, results, region, tol,
     items.sort(key=lambda r: (r.lam.real, r.lam.imag))
     if with_null_vectors and spec is not None:
         from .monodromy import null_vector
-        enriched = []
-        for r in items:
+        for k, r in enumerate(items):
             try:
                 mv = null_vector(spec, r.lam, residual_threshold=1e-4, seed=seed)
                 mass = tuple(sorted(mv.null_mass().items()))
             except NoConvergence:   # residual too large for a null vector
                 mass = None
-            enriched.append(Resonance(lam=r.lam, residual=r.residual,
-                                      winding=r.winding, box=r.box,
-                                      null_mass=mass))
-        items = enriched
+            items[k] = replace(r, null_mass=mass)
     return ResonanceSet(items=tuple(items), region=region,
                         total_winding_audited=outer)

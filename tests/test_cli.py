@@ -45,7 +45,7 @@ def test_scan_polygon_writes_outputs(tmp_path):
 
 
 def test_scan_reruns_are_byte_identical(tmp_path):
-    # the rerun goes through the process pool: --jobs changes no byte
+    # --jobs is accepted and ignored: the rerun changes no byte
     args = ("scan", "--polygon", "0,0 3,0 0,4",
             "--re", "100", "103", "--nu", "0.05", "0.35")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -8,7 +8,7 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      ZeroNearBoundary, char_function, count_zeros,
                      polyline_path, refine_root, scan_strip, winding_number,
                      with_overrides)
-from coneres.resonances import _guarded_split
+from coneres.resonances import _guarded_split, _refine_roots
 
 
 def poly_handle(*zeros):
@@ -91,6 +91,39 @@ def test_refine_root_needs_derivative():
     h = FunctionHandle(lambda lam: np.asarray(lam, dtype=complex) - 2.0)
     with pytest.raises(NoConvergence):
         refine_root(h, 1.9 + 0j, Box(1.5, 2.5, -0.5, 0.5))
+
+
+def test_batched_newton_matches_refine_root_per_start():
+    h = poly_handle(4.31 - 0.77j, 9.0 + 0j, 6.5 - 0.5j, 6.5 - 0.5j)
+    tol = with_overrides({"newton_max_iter": 6})
+    starts = [
+        (4.3 - 0.75j, Box(4.0, 4.6, -1.0, -0.5), 1),          # converges
+        (4.7 - 0.75j, Box(4.5, 4.9, -1.0, -0.5), 1),          # escapes roam box
+        (4.46 - 0.75j, Box(4.32, 4.6, -1.0, -0.5), 1),        # leaves its box
+        (6.45 - 0.45j, Box(6.3, 6.7, -0.7, -0.3), 2),         # double zero
+        (0j, Box(-50.0, 50.0, -50.0, 50.0), 1),               # out of iterations
+        (4.0 - 0.77j, Box(3.5, 4.5, -1.0, -0.5), 1),          # converges
+    ]
+    batch = _refine_roots(h, starts, tol)
+    messages = []
+    for start, got in zip(starts, batch):
+        try:
+            want = refine_root(h, *start, tol=tol)
+        except (EscapedBox, NoConvergence) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            messages.append(str(exc))
+        else:
+            assert got == want   # lam and residual, bit for bit
+    assert len(messages) == 3
+    for fragment in ("escaped near", "left its box", "no convergence within 6"):
+        assert any(fragment in m for m in messages)
+
+
+def test_batched_newton_fails_every_start_without_derivative():
+    h = FunctionHandle(lambda lam: np.asarray(lam, dtype=complex) - 2.0)
+    box = Box(1.5, 2.5, -0.5, 0.5)
+    batch = _refine_roots(h, [(1.9 + 0j, box, 1), (2.1 + 0.1j, box, 1)], DEFAULT)
+    assert [type(r) for r in batch] == [NoConvergence, NoConvergence]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +258,20 @@ def test_scan_parallel_matches_serial(two_cone):
     # lambdas, residuals, windings and boxes, all bit for bit
     assert parallel.items == serial.items
     assert parallel.total_winding_audited == serial.total_winding_audited
+
+
+def test_scan_counts_every_evaluation_whatever_jobs(two_cone):
+    # the whole scan runs in this process, so the shared evaluator sees
+    # every point whatever jobs says
+    region = SearchRegion(60.0, 70.0, 0.28, 0.40)
+    cf = char_function(two_cone)
+    counts = []
+    for jobs in (1, 4):
+        before = cf.n_evals
+        scan_strip(two_cone, region, jobs=jobs)
+        counts.append(cf.n_evals - before)
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 def test_scan_null_vector_failures(two_cone, monkeypatch):

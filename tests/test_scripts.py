@@ -12,6 +12,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("two_cone_scan.py", ("--re-min", "50", "--re-max", "60")),
     ("triangle_gap_survey.py", ("--count", "2", "--re-min", "50",
                                 "--re-max", "60")),
+    ("scan_digest.py", ("--short",)),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)

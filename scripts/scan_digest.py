@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of every output file of the two reference scans.
+"""SHA-256 digests of every output file of the three reference scans.
 
     python3 scripts/scan_digest.py [CHECKOUT] [--short]
 
 Imports ``coneres`` from ``CHECKOUT/src`` (default: the checkout this
-script lives in), runs two scans through ``coneres.cli.main`` into a
+script lives in), runs three scans through ``coneres.cli.main`` into a
 temporary directory, and prints one ``sha256  file`` line per output
-file, eight in all:
+file, twelve in all:
 
 - ``tri345/``: the doubled 3-4-5 triangle,
   ``--re 100 300 --nu 0.05 0.35 --jobs 1``
 - ``twocone/``: ``build_two_cone_surface()`` written as a surface file,
   ``--re 50 500 --nu 0.28 0.42 --jobs 2 --verify``
+- ``flatcone/``: ``build_two_cone_surface(cone_angle=2*pi)`` written as
+  a surface file, ``--re 50 60 --nu 0.02 0.3``; a 2*pi cone does not
+  diffract, so the scan has no ladder model and writes no fit
 
 Two checkouts produce byte-identical scans exactly when ``diff`` finds
 no difference between the outputs of this script run on each.
-``--short`` cuts both strips to a few units of Re, for smoke tests.
+``--short`` cuts the first two strips to a few units of Re, for smoke
+tests; the third is that short already.
 The scans' own stdout goes to stderr; the exit code is the first
 nonzero exit code of a scan, or 0.
 """
@@ -24,12 +28,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 
-def scans(surface: Path, short: bool) -> dict[str, list[str]]:
+def scans(surface: Path, flat: Path, short: bool) -> dict[str, list[str]]:
     """``coneres scan`` arguments of each reference scan, by output name."""
     return {
         "tri345": ["--polygon", "0,0 3,0 0,4", "--re", "100",
@@ -38,6 +43,8 @@ def scans(surface: Path, short: bool) -> dict[str, list[str]]:
         "twocone": ["--input", str(surface), "--re", "50",
                     "70" if short else "500", "--nu", "0.28", "0.42",
                     "--jobs", "2", "--verify"],
+        "flatcone": ["--input", str(flat), "--re", "50", "60",
+                     "--nu", "0.02", "0.3"],
     }
 
 
@@ -55,7 +62,10 @@ def main(argv=None) -> int:
         root = Path(tmp)
         surface = root / "two_cone.yaml"
         surface.write_text(serialize_surface(build_two_cone_surface()))
-        runs = scans(surface, args.short)
+        flat = root / "flat_two_cone.yaml"
+        flat.write_text(serialize_surface(
+            build_two_cone_surface(cone_angle=2 * math.pi)))
+        runs = scans(surface, flat, args.short)
         for name, scan_args in runs.items():
             with contextlib.redirect_stdout(sys.stderr):
                 rc = cli.main(["scan", *scan_args, "--out", str(root / name)])

@@ -16,8 +16,7 @@ import time
 import numpy as np
 
 from coneres import (SearchRegion, build_two_cone_surface, coset_deviations,
-                     fit_log_curve, ladder_model_from_spec, scan_strip,
-                     verify_scan)
+                     ladder_model_from_spec, scan_strip, verify_scan)
 
 
 def parse_args(argv):
@@ -48,11 +47,9 @@ def main(argv=None):
     print(f"found {len(result.items)} zeros in {elapsed:.2f}s "
           f"(audited winding {result.total_winding_audited})")
 
-    fit = fit_log_curve(lams, model.L0)
-    print(fit.to_text())
-    print()
-
     report = verify_scan(result, model)
+    print(report.fit.to_text())
+    print()
     print(report.to_text())
 
     # drift of the Re cosets toward the ladder: should shrink up the strip

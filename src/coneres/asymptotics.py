@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,9 +63,10 @@ def ladder_model_from_spec(spec: ConeSurfaceSpec,
                            tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> LadderModel:
     """Build the one-cycle model from the unique maximal edge pair.
 
-    Raises ValueError when the maximal geodesic is not unique (more than
-    one unoriented edge attains L0 within tol.length_tie_rel), since no
-    single cycle dominates.
+    Raises ValueError, with the reason, when no single cycle dominates:
+    the maximal geodesic is not unique (more than one unoriented edge
+    attains L0 within tol.length_tie_rel), its edges are not a reversal
+    pair, or the couplings around it vanish.
     """
     scales = length_scales(spec, tol)
     maximal = set(scales.maximal_edges)
@@ -149,17 +150,7 @@ class FitReport:
     re_range: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "slope_expected": self.slope_expected,
-            "intercept": self.intercept,
-            "spacing_mean": self.spacing_mean,
-            "spacing_expected": self.spacing_expected,
-            "c_re_empirical": self.c_re_empirical,
-            "residual_rms": self.residual_rms,
-            "count": self.count,
-            "re_range": list(self.re_range),
-        }
+        return dict(asdict(self), re_range=list(self.re_range))
 
     def to_text(self) -> str:
         lines = [
@@ -257,40 +248,24 @@ def verify_scan(result: ResonanceSet, model: LadderModel,
                 tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> VerificationReport:
     """Check a scan against the string law at standard tolerances."""
     fit = fit_log_curve(result.lambdas(), model.L0, min_re=min_re, tol=tol)
-    checks = []
-
-    rel = abs(fit.slope - model.slope) / abs(model.slope)
-    checks.append(CheckResult(
-        name="log_curve_slope",
-        passed=rel <= tol.verify_slope_rel,
-        witnesses=(),
-        detail=f"slope {fit.slope:.6f} vs {model.slope:.6f} "
-               f"(rel err {rel:.2e}, allow {tol.verify_slope_rel:.0e})",
-    ))
-    ds = abs(fit.spacing_mean - model.spacing)
-    checks.append(CheckResult(
-        name="mean_spacing",
-        passed=ds <= tol.verify_spacing_abs,
-        witnesses=(),
-        detail=f"spacing {fit.spacing_mean:.6f} vs {model.spacing:.6f} "
-               f"(abs err {ds:.2e}, allow {tol.verify_spacing_abs:.0e})",
-    ))
-    dci = abs(fit.intercept - model.c_im)
-    checks.append(CheckResult(
-        name="intercept_c_im",
-        passed=dci <= tol.verify_const_abs,
-        witnesses=(),
-        detail=f"C_im {fit.intercept:.6f} vs {model.c_im:.6f} "
-               f"(abs err {dci:.2e}, allow {tol.verify_const_abs:.0e})",
-    ))
-    dcr = _circ_dist(fit.c_re_empirical, model.c_re, model.spacing)
-    checks.append(CheckResult(
-        name="coset_c_re",
-        passed=dcr <= tol.verify_const_abs,
-        witnesses=(),
-        detail=f"C_re {fit.c_re_empirical:.6f} vs {model.c_re:.6f} "
-               f"(circular err {dcr:.2e}, allow {tol.verify_const_abs:.0e})",
-    ))
+    rows = (
+        # name, label, fitted, predicted, error kind, error, allowance
+        ("log_curve_slope", "slope", fit.slope, model.slope, "rel",
+         abs(fit.slope - model.slope) / abs(model.slope), tol.verify_slope_rel),
+        ("mean_spacing", "spacing", fit.spacing_mean, model.spacing, "abs",
+         abs(fit.spacing_mean - model.spacing), tol.verify_spacing_abs),
+        ("intercept_c_im", "C_im", fit.intercept, model.c_im, "abs",
+         abs(fit.intercept - model.c_im), tol.verify_const_abs),
+        ("coset_c_re", "C_re", fit.c_re_empirical, model.c_re, "circular",
+         _circ_dist(fit.c_re_empirical, model.c_re, model.spacing),
+         tol.verify_const_abs),
+    )
+    checks = [
+        CheckResult(name=name, passed=err <= allow, witnesses=(),
+                    detail=f"{label} {fitted:.6f} vs {predicted:.6f} "
+                           f"({kind} err {err:.2e}, allow {allow:.0e})")
+        for name, label, fitted, predicted, kind, err, allow in rows
+    ]
     return VerificationReport(checks=tuple(checks), fit=fit, model=model)
 
 

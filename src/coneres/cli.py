@@ -130,8 +130,8 @@ def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
     scales = length_scales(spec, tol)
     try:
         model = ladder_model_from_spec(spec, tol)
-    except ValueError:
-        model = None
+    except ValueError as exc:
+        model, no_model = None, str(exc)
 
     try:
         region = SearchRegion(re_min=args.re[0], re_max=args.re[1],
@@ -145,29 +145,23 @@ def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
     except (ZeroNearBoundary, AuditError, NoConvergence, EscapedBox) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
 
-    fit = None
-    if model is not None:
-        try:
-            fit = fit_log_curve(rs.lambdas(), model.L0,
-                                min_re=max(region.re_min, tol.fit_min_re),
-                                tol=tol)
-        except InsufficientData:
-            fit = None
-
-    verification = None
+    min_re = max(region.re_min, tol.fit_min_re)
+    fit = verification = None
     if args.verify:
         if model is None:
-            print("cannot verify: maximal geodesic is not unique",
-                  file=sys.stderr)
+            print(f"cannot verify: {no_model}", file=sys.stderr)
             return EXIT_VERIFY
         try:
-            verification = verify_scan(rs, model,
-                                       min_re=max(region.re_min,
-                                                  tol.fit_min_re),
-                                       tol=tol)
+            verification = verify_scan(rs, model, min_re=min_re, tol=tol)
         except InsufficientData as exc:
             print(f"cannot verify: {exc}", file=sys.stderr)
             return EXIT_VERIFY
+        fit = verification.fit
+    elif model is not None:
+        try:
+            fit = fit_log_curve(rs.lambdas(), model.L0, min_re=min_re, tol=tol)
+        except InsufficientData:
+            pass
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

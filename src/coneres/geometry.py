@@ -373,16 +373,16 @@ def validate_hypotheses(spec: ConeSurfaceSpec,
     (b) no two edge incidences at a cone point are pi-related in the link;
     (c) no geodesic loop attains the maximal length L0.
 
-    Length ties use tol.length_tie_rel and the pi relation of (b) uses
+    The maximal geodesics of (a) and (c) are length_scales' maximal_edges,
+    ties within tol.length_tie_rel; the pi relation of (b) uses
     tol.pi_relation_tol.
     """
-    scales = length_scales(spec, tol)
-    tie_rel = tol.length_tie_rel
+    maximal = set(length_scales(spec, tol).maximal_edges)
     checks = []
 
     arrivals: dict[str, list[str]] = {}
     for e in spec.edges:
-        if e.length >= scales.L0 * (1 - tie_rel):
+        if e.id in maximal:
             arrivals.setdefault(e.to_point, []).append(e.id)
     offenders = tuple(
         (pid, tuple(ids)) for pid, ids in sorted(arrivals.items()) if len(ids) > 1
@@ -420,7 +420,7 @@ def validate_hypotheses(spec: ConeSurfaceSpec,
 
     loops = tuple(
         e.id for e in spec.edges
-        if e.from_point == e.to_point and e.length >= scales.L0 * (1 - tie_rel)
+        if e.from_point == e.to_point and e.id in maximal
     )
     checks.append(CheckResult(
         name="no_maximal_loop",

@@ -18,9 +18,11 @@ exponential polynomial
 
     det(I - M) = sum_S (-1)^|S| det A[S, S] lambda^{-|S|/2} e^{i lambda ell_S}
 
-over edge subsets S, with ell_S the summed lengths.  CharFunction.values
-evaluates this sum, built once per surface; the Newton derivative, the
-matrices and null vectors keep the stacked LU of I - M.
+over edge subsets S, with ell_S the summed lengths.  CharFunction holds
+the couplings as the dense E x E matrix A and the edge lengths ell, both
+built once per surface.  CharFunction.values evaluates this sum, with
+the minors taken from A; the Newton derivative, the matrices and null
+vectors keep the stacked LU of I - M.
 """
 from __future__ import annotations
 
@@ -77,10 +79,11 @@ MAX_SUM_EDGES = 12
 class CharFunction:
     """Vectorised det(I - M(lambda)) with its analytic derivative.
 
-    Couplings are lambda-independent, so they are computed once.
-    ``values`` evaluates the determinant as the exponential sum over the
-    principal minors of the coupling matrix (module docstring), with the
-    terms grouped by (|S|, ell_S) once here; above MAX_SUM_EDGES edges,
+    Couplings are lambda-independent, so they are computed once and held
+    as the dense coupling matrix ``A`` (E x E, zero where f does not feed
+    e), with the edge lengths ``ell``: M = A D(lambda).  ``values``
+    evaluates the determinant as the exponential sum over the principal
+    minors of ``A`` (module docstring), with the terms grouped by (|S|, ell_S) once here; above MAX_SUM_EDGES edges,
     where the 2^E minors cost more per point than an LU, it takes the LU
     determinant.  ``values_and_derivs`` keeps the LU determinant and its
     Jacobi-formula derivative: Newton runs on them, and a closed-form
@@ -94,22 +97,16 @@ class CharFunction:
     def __init__(self, spec: ConeSurfaceSpec):
         self.edge_index = tuple(e.id for e in spec.edges)
         pos = {eid: i for i, eid in enumerate(self.edge_index)}
-        rows, cols, coeffs, lengths = [], [], [], []
-        for f, e in spec.adjacent_pairs():
-            rows.append(pos[e.id])
-            cols.append(pos[f.id])
-            coeffs.append(coupling_coefficient(spec, e.id, f.id))
-            lengths.append(f.length)
-        self._rows = np.asarray(rows, dtype=int)
-        self._cols = np.asarray(cols, dtype=int)
-        self._coeffs = np.asarray(coeffs, dtype=complex)
-        self._lengths = np.asarray(lengths, dtype=float)
         self.size = len(self.edge_index)
+        self.A = np.zeros((self.size, self.size), dtype=complex)
+        for f, e in spec.adjacent_pairs():
+            self.A[pos[e.id], pos[f.id]] = coupling_coefficient(spec, e.id, f.id)
+        self.ell = np.asarray([e.length for e in spec.edges], dtype=float)
         self.n_evals = 0
-        self._terms = (self._exponential_sum(spec)
+        self._terms = (self._exponential_sum()
                        if self.size <= MAX_SUM_EDGES else None)
 
-    def _exponential_sum(self, spec: ConeSurfaceSpec):
+    def _exponential_sum(self):
         """(-|S|/2, ell_S, coefficient) of every nonzero (|S|, ell_S) group.
 
         All 2^E principal minors come from one stacked determinant: the
@@ -117,18 +114,15 @@ class CharFunction:
         outside S replaced by those of the identity.
         """
         n = self.size
-        a = np.zeros((n, n), dtype=complex)
-        a[self._rows, self._cols] = self._coeffs
         inside = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        masked = a * (inside[:, :, None] * inside[:, None, :])
+        masked = self.A * (inside[:, :, None] * inside[:, None, :])
         idx = np.arange(n)
         masked[:, idx, idx] += 1 - inside
         k = inside.sum(axis=1)
         coeff = (-1.0) ** k * np.linalg.det(masked)
-        ell = np.asarray([e.length for e in spec.edges], dtype=float)
         ell_s = np.zeros(1 << n)
-        for j in np.argsort(ell):   # ascending, so equal multisets sum equal
-            ell_s += inside[:, j] * ell[j]
+        for j in np.argsort(self.ell):   # ascending, so equal multisets sum equal
+            ell_s += inside[:, j] * self.ell[j]
         groups: dict[tuple[int, float], complex] = {}
         for i in np.flatnonzero(coeff):
             key = (int(k[i]), float(ell_s[i]))
@@ -139,14 +133,9 @@ class CharFunction:
         return -0.5 * size, length, c
 
     def matrices(self, lam: np.ndarray) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        m = np.zeros((lam.size, self.size, self.size), dtype=complex)
-        if self._rows.size:
-            vals = (self._coeffs[None, :]
-                    * lam[:, None] ** -0.5
-                    * np.exp(1j * lam[:, None] * self._lengths[None, :]))
-            m[:, self._rows, self._cols] = vals
-        return m
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None, None]
+        # column f of M is column f of A times lam^-1/2 e^{i lam ell_f}
+        return self.A * lam ** -0.5 * np.exp(1j * lam * self.ell)
 
     def _lu(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """M, I - M and det(I - M) by stacked LU."""
@@ -172,11 +161,7 @@ class CharFunction:
             self.n_evals += lam.size
             m, a, det = self._lu(lam)
             # d/dlam of an entry multiplies it by (i*ell_f - 1/(2 lam))
-            dm = np.zeros_like(m)
-            if self._rows.size:
-                factor = (1j * self._lengths[None, :]
-                          - 0.5 / lam[:, None])
-                dm[:, self._rows, self._cols] = m[:, self._rows, self._cols] * factor
+            dm = m * (1j * self.ell - 0.5 / lam[:, None, None])
             try:
                 x = np.linalg.solve(a, -dm)
             except np.linalg.LinAlgError:

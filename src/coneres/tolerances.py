@@ -9,8 +9,8 @@ are not tolerances, and fixed constants that no configuration should
 change (the cotangent guard of the diffraction coefficient, structural
 slack in surface validation) stay with the code that uses them.  The CLI honours the environment
 variable ``CONERES_TOL_OVERRIDES``: it names a YAML file whose keys are a
-subset of the field names below; any other key, or a value that is not a
-number of the field's type, is an error.
+subset of the field names below; any other key, a value that is not a
+number of the field's type, or an int field below 1, is an error.
 """
 from __future__ import annotations
 
@@ -76,7 +76,9 @@ def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
     """Return ``base`` with the given fields replaced.
 
     Unknown keys raise KeyError.  A value must be a number, and an int for
-    an int field; bools and strings raise TypeError.
+    an int field; bools and strings raise TypeError.  Int fields count
+    samples, points, rounds or retries, so a value below 1 raises
+    ValueError.
     """
     unknown = set(mapping) - _FIELD_TYPES.keys()
     if unknown:
@@ -86,6 +88,8 @@ def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
         allowed = int if kind is int else (int, float)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+        if kind is int and value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value!r}")
     return dataclasses.replace(base, **mapping)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,32 @@ def test_scan_verify_two_cone(tmp_path):
                 "--jobs", "1", "--verify")
     assert r.returncode == 0, r.stderr + r.stdout
     assert "verification PASSED" in r.stdout
+
+
+def _flat_two_cone_file(tmp_path):
+    # passes the hypotheses, but a 2*pi cone does not diffract
+    spec_file = tmp_path / "flat_two_cone.yaml"
+    spec_file.write_text(serialize_surface(
+        build_two_cone_surface(cone_angle=2 * math.pi)))
+    return str(spec_file)
+
+
+def test_scan_without_ladder_model_writes_no_fit(tmp_path):
+    out = tmp_path / "run"
+    r = run_cli("scan", "--input", _flat_two_cone_file(tmp_path),
+                "--re", "50", "60", "--nu", "0.02", "0.3", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["model"] is None and report["fit"] is None
+    assert (out / "fit_summary.txt").read_text().startswith("no fit: ")
+
+
+def test_scan_verify_without_ladder_model_gives_the_reason(tmp_path):
+    r = run_cli("scan", "--input", _flat_two_cone_file(tmp_path),
+                "--re", "50", "60", "--nu", "0.02", "0.3", "--verify")
+    assert r.returncode == 2
+    assert r.stderr == ("cannot verify: no diffractive coupling around "
+                        "the maximal cycle\n")
 
 
 def test_scan_square_fails_hypotheses():
@@ -185,9 +212,11 @@ def test_tolerance_override_removed_field_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("content", [None, ": : :\n", "- 1\n- 2\n",
-                                     'newton_max_iter: "abc"\n'])
+                                     'newton_max_iter: "abc"\n',
+                                     "winding_initial_per_segment: 0\n"])
 def test_tolerance_override_bad_file_is_one_line(tmp_path, content):
-    # a missing file, unparseable YAML, a list, a string for an int field
+    # a missing file, unparseable YAML, a list, a string for an int field,
+    # an int field below 1 (one sample per side would lose every zero)
     cfg = tmp_path / "tol.yaml"
     if content is not None:
         cfg.write_text(content)

@@ -8,7 +8,8 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      ZeroNearBoundary, char_function, count_zeros,
                      polyline_path, refine_root, scan_strip, winding_number,
                      with_overrides)
-from coneres.resonances import _guarded_split, _refine_roots
+from coneres.resonances import (_SPLIT_FRACTIONS, _guarded_split,
+                                _refine_roots, _split_line_clear)
 
 
 def poly_handle(*zeros):
@@ -145,6 +146,19 @@ def test_guarded_split_all_lines_rejected():
     h = poly_handle(1.0 + 0j, 1.14 + 0j, 0.86 + 0j, 1.3 + 0j, 0.7 + 0j)
     with pytest.raises(ZeroNearBoundary, match="all split lines rejected"):
         _guarded_split(h, Box(0, 2, -0.5, 0.5), 5, DEFAULT)
+
+
+def test_guarded_split_walk_failure_tries_next_line():
+    # every split line is clear, but a zero on the left wall stops the
+    # walk around each left half: every fraction is tried, then rejected
+    h = poly_handle(-1e-15 + 0j, 1.3 - 0.2j)
+    box = Box(0, 2, -0.5, 0.5)
+    assert all(_split_line_clear(h, box, 0, frac, DEFAULT)
+               for frac in _SPLIT_FRACTIONS)
+    with pytest.raises(ZeroNearBoundary,
+                       match="all split lines rejected") as info:
+        _guarded_split(h, box, 1, DEFAULT)
+    assert isinstance(info.value.__cause__, ZeroNearBoundary)
 
 
 # ---------------------------------------------------------------------------

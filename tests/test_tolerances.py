@@ -50,6 +50,17 @@ def test_override_values_must_be_numbers_of_the_field_type(mapping):
         with_overrides(mapping)
 
 
+INT_FIELDS = [f.name for f in dataclasses.fields(Tolerances)
+              if type(f.default) is int]
+
+
+@pytest.mark.parametrize("key", INT_FIELDS)
+@pytest.mark.parametrize("value", [0, -1])
+def test_int_override_below_one_names_the_field(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be at least 1"):
+        with_overrides({key: value})
+
+
 def test_override_values_of_the_field_type_apply():
     tol = with_overrides({"newton_max_iter": 7, "boundary_guard": 1,
                           "newton_residual": 1e-12})

@@ -14,7 +14,9 @@ of it gives that line back byte for byte).  After the pairs, one
 ``--trace 1`` run per workload and checkout gives the per-layer counts and
 the ``monodromy.us_per_point`` batch sweep.  The output holds those lines,
 the environment the runs printed (``nproc``, CPU model, commits), and per
-metric the medians and quartiles of both sides and the pairs head won.
+metric the medians and quartiles of both sides, the pairs head won, and
+the verdicts of ``summarise`` against the head checkout's
+``BENCHMARK.json`` (read, never written).
 """
 from __future__ import annotations
 
@@ -46,15 +48,40 @@ def quartiles(xs: list[float]) -> dict:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def summarise(pairs: list[dict]) -> dict:
-    """Per metric: both sides' quartiles and the pairs the head won (lower)."""
+def summarise(pairs: list[dict], benchmark: dict) -> dict:
+    """Per metric: both sides' quartiles, the pairs head won, and verdicts.
+
+    ``benchmark`` is the parsed BENCHMARK.json; a metric is better lower
+    unless it declares ``"better": "higher"``.  Besides the quartiles:
+
+    - ``head_wins``: pairs where head was better (ties count for neither)
+    - ``base_iqr``: q3 - q1 of the base runs
+    - ``median_change``: (head - base) / base of the medians, or None
+      when the base median is 0
+    - ``claim_met``: head won at least 9 pairs in 10 and its median is
+      better than the base median by more than ``base_iqr``
+    - ``within_bound``, for end-to-end metrics: the head median is worse
+      than the base median by at most the metric's ``bound`` of it
+    """
+    declared = {m["name"]: m for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     out = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
-        out[name] = {"base": quartiles(base), "head": quartiles(head),
-                     "head_wins": sum(h < b for b, h in zip(base, head)),
-                     "pairs": len(pairs)}
+        metric = declared.get(name, {})
+        sign = -1.0 if metric.get("better") == "higher" else 1.0
+        b, h = quartiles(base), quartiles(head)
+        wins = sum(sign * (y - x) < 0 for x, y in zip(base, head))
+        iqr = b["q3"] - b["q1"]
+        out[name] = {"base": b, "head": h, "head_wins": wins, "pairs": len(pairs),
+                     "base_iqr": iqr,
+                     "median_change": ((h["median"] - b["median"]) / b["median"]
+                                       if b["median"] else None),
+                     "claim_met": (10 * wins >= 9 * len(pairs)
+                                   and sign * (b["median"] - h["median"]) > iqr)}
+        if "bound" in metric:
+            out[name]["within_bound"] = (sign * (h["median"] - b["median"])
+                                         <= metric["bound"] * abs(b["median"]))
     return out
 
 
@@ -69,6 +96,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=345)
     args = p.parse_args(argv)
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    benchmark = json.loads((sides["head"] / "BENCHMARK.json").read_text())
     record = {"command": f"python3 perfbench/run.py --workload W "
                          f"--seconds {args.seconds:g} --seed {args.seed}",
               "environment": {}, "workloads": {}}
@@ -85,7 +113,7 @@ def main(argv=None) -> int:
         traced = {side: run(path, workload, args.seconds, args.seed, 1)[0]
                   for side, path in sides.items()}
         record["workloads"][workload] = {"pairs": pairs,
-                                         "summary": summarise(pairs),
+                                         "summary": summarise(pairs, benchmark),
                                          "trace": traced}
         # rewritten after every workload, so a late failure keeps the rest
         args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -5,10 +5,13 @@ contour, refine the sampling until consecutive phase increments stay
 below a safe step, and sum.  Boxes with positive winding are bisected
 (with guarded split lines) until each holds a single zero, which Newton
 then polishes using the analytic derivative.  A strip scan does this in
-rounds over the boxes of all its columns, with one Newton batch a round;
-each box is decided on its own samples and iterates alone.  Every
-subdivision and the final scan are audited: windings must be conserved
-exactly.
+rounds over the boxes of all its columns, with one Newton batch a round.
+Its winding walks run in lock-step: one walk counts every column box,
+and each split pass probes the split lines of every box it splits in one
+evaluation and walks all the halves together, so each refinement round
+evaluates the new points of every live contour at once.  Each box is
+still decided on its own samples and iterates alone.  Every subdivision
+and the final scan are audited: windings must be conserved exactly.
 """
 from __future__ import annotations
 
@@ -149,6 +152,28 @@ class ResonanceSet:
 # phase continuation
 
 
+# Most points in one f.values call and in one lock-step group of walks.
+# values builds (points x terms) temporaries: walked uncapped, the column
+# boxes of the 3-4-5 scan over Re [100, 300] peak at 86 MB, not 56 MB.
+MAX_BATCH_POINTS = 4096
+
+
+def _values(f, pts: np.ndarray) -> np.ndarray:
+    """f.values(pts) in calls of at most MAX_BATCH_POINTS points."""
+    if pts.size <= MAX_BATCH_POINTS:
+        return f.values(pts)
+    return np.concatenate([f.values(pts[i:i + MAX_BATCH_POINTS])
+                           for i in range(0, pts.size, MAX_BATCH_POINTS)])
+
+
+def _checked(results: list) -> list:
+    """``results`` of a batch call, or the first exception among them raised."""
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
 def polyline_path(vertices: np.ndarray):
     """Closed piecewise-linear path; parameter t in [0, nseg]."""
     v = np.asarray(vertices, dtype=complex)
@@ -161,6 +186,22 @@ def polyline_path(vertices: np.ndarray):
         return v[seg] * (1.0 - fr) + v[seg + 1] * fr
 
     return path, nseg
+
+
+def _box_path(boxes: list[Box]):
+    """path(t, owner): the polyline_path of boxes[owner].corners() at t."""
+    lims = np.array([(b.re_lo, b.re_hi, b.im_lo, b.im_hi) for b in boxes],
+                    dtype=float).reshape(-1, 4)
+    v = np.empty((len(boxes), 5), dtype=complex)
+    v.real = lims[:, [0, 1, 1, 0, 0]]
+    v.imag = lims[:, [2, 2, 3, 3, 2]]
+
+    def path(t, owner):
+        seg = np.clip(np.floor(t).astype(int), 0, 3)
+        fr = t - seg
+        return v[owner, seg] * (1.0 - fr) + v[owner, seg + 1] * fr
+
+    return path
 
 
 def winding_number(f, path_fn, nseg: int,
@@ -179,16 +220,90 @@ def winding_number(f, path_fn, nseg: int,
     alone cannot detect aliased full turns), so callers walking long
     contours must scale this with path length times phase rate.
     """
+    return _checked(_winding_numbers(f, lambda t, owner: path_fn(t), [nseg],
+                                     tol, per_segment))[0]
+
+
+def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
+    """Number of zeros (with multiplicity) of f inside an axis-aligned box."""
+    path_fn, nseg = polyline_path(box.corners())
+    return winding_number(f, path_fn, nseg, tol)
+
+
+def _count_zeros(f, boxes: list[Box], tol: tol_mod.Tolerances) -> list:
+    """count_zeros of every box, in lock-step: the int or exception of each."""
+    return _winding_numbers(f, _box_path(boxes), [4] * len(boxes), tol)
+
+
+def _winding_numbers(f, path, nsegs: list[int], tol: tol_mod.Tolerances,
+                     per_segment: int | None = None) -> list:
+    """winding_number of several closed contours, walked in lock-step.
+
+    Contour k is t -> path(t, k) for t in [0, nsegs[k]], sampled and
+    refined as winding_number walks it alone: the same points and the
+    same checks in the same order.  Contours go in groups of at most
+    MAX_BATCH_POINTS initial samples, and each refinement round of a
+    group evaluates the midpoints of all its live contours together.
+    Returns the winding or the ZeroNearBoundary of each contour.
+    """
     per_seg = per_segment or tol.winding_initial_per_segment
-    t = np.linspace(0.0, float(nseg), nseg * per_seg + 1)
-    pts = path_fn(t)
-    vals = f.values(pts)
+    out: list = [None] * len(nsegs)
+    group: list[int] = []
+    size = 0
+    for k, nseg in enumerate(nsegs):
+        if group and size + nseg * per_seg + 1 > MAX_BATCH_POINTS:
+            _walk_group(f, path, group, nsegs, per_seg, tol, out)
+            group, size = [], 0
+        group.append(k)
+        size += nseg * per_seg + 1
+    if group:
+        _walk_group(f, path, group, nsegs, per_seg, tol, out)
+    return out
+
+
+def _walk_group(f, path, group: list[int], nsegs: list[int], per_seg: int,
+                tol: tol_mod.Tolerances, out: list) -> None:
+    """Walk the contours of ``group`` in lock-step and fill their ``out`` slots.
+
+    The samples of the walking contours sit in two flat arrays, ``t`` and
+    ``vals``, contour after contour in t order: ``order`` holds their
+    positions in ``group`` and ``counts`` their sample counts.  A contour
+    leaves the arrays once it settles or fails.
+    """
+    n = len(group)
+    ids = np.asarray(group)
+    span = np.asarray([float(nsegs[k]) for k in group])
+    grids = {m: np.linspace(0.0, float(m), m * per_seg + 1)
+             for m in {nsegs[k] for k in group}}
+    t = np.concatenate([grids[nsegs[k]] for k in group])
+    order = np.arange(n)
+    counts = np.asarray([grids[nsegs[k]].size for k in group])
+    vals = _values(f, path(t, np.repeat(ids, counts)))
     # force exact closure so the increments telescope to a clean multiple
-    vals[-1] = vals[0]
-    if np.any(np.abs(vals) < tol.value_floor) or np.any(~np.isfinite(vals)):
-        raise ZeroNearBoundary("contour value underflow: zero on the path?")
-    span = float(nseg)
+    ends = np.cumsum(counts)
+    vals[ends - 1] = vals[ends - counts]
+    walking = np.ones(n, dtype=bool)
+
+    def stop(hit: np.ndarray, message: str) -> None:
+        """End the walks of the contours in ``group`` positions ``hit``."""
+        for c in np.unique(hit[walking[hit]]):
+            out[group[c]] = ZeroNearBoundary(message)
+        walking[hit] = False
+
+    def underflow(v: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        return owners[(np.abs(v) < tol.value_floor) | ~np.isfinite(v)]
+
+    stop(underflow(vals, np.repeat(order, counts)),
+         "contour value underflow: zero on the path?")
     for _ in range(tol.winding_max_rounds):
+        kept = walking[order]
+        if not kept.all():
+            keep = np.repeat(kept, counts)
+            t, vals = t[keep], vals[keep]
+            order, counts = order[kept], counts[kept]
+            if order.size == 0:
+                return
+        ends = np.cumsum(counts)
         dphi = np.angle(vals[1:] / vals[:-1])
         # a sharp magnitude dip between samples can hide an aliased full
         # turn (zero pair hugging the path), so refine on |f| jumps too
@@ -197,34 +312,37 @@ def winding_number(f, path_fn, nseg: int,
         suspicious = ((np.abs(dphi) >= tol.winding_max_phase_step)
                       | (ratio >= tol.winding_max_mag_step)
                       | (ratio <= 1.0 / tol.winding_max_mag_step))
+        suspicious[ends[:-1] - 1] = False   # the steps from one contour to the next
         bad = np.flatnonzero(suspicious)
-        if bad.size == 0:
-            total = float(dphi.sum())
-            w = total / TWO_PI
-            frac = abs(w - round(w))
-            if frac > tol.winding_reject_frac:
-                raise ZeroNearBoundary(
+        slot = np.searchsorted(ends, bad, side="right")   # index into order
+        nbad = np.bincount(slot, minlength=order.size)
+        for j in np.flatnonzero(nbad == 0):
+            w = float(dphi[ends[j] - counts[j]:ends[j] - 1].sum()) / TWO_PI
+            if abs(w - round(w)) > tol.winding_reject_frac:
+                out[group[order[j]]] = ZeroNearBoundary(
                     f"winding {w:.4f} too far from an integer; phase tracking "
                     "is unreliable on this contour"
                 )
-            return int(round(w))
-        if t.size + bad.size > tol.winding_max_points:
-            raise ZeroNearBoundary("contour refinement exceeded point budget")
+            else:
+                out[group[order[j]]] = int(round(w))
+        walking[order[nbad == 0]] = False
+        stop(order[counts + nbad > tol.winding_max_points],
+             "contour refinement exceeded point budget")
+        sampled = walking[order[slot]]
+        bad, slot = bad[sampled], slot[sampled]
         tm = 0.5 * (t[bad] + t[bad + 1])
-        if np.any(tm - t[bad] < 1e-13 * span):
-            raise ZeroNearBoundary("contour refinement below resolution floor")
-        vm = f.values(path_fn(tm))
-        if np.any(np.abs(vm) < tol.value_floor) or np.any(~np.isfinite(vm)):
-            raise ZeroNearBoundary("contour value underflow: zero on the path?")
-        t = np.insert(t, bad + 1, tm)
-        vals = np.insert(vals, bad + 1, vm)
-    raise ZeroNearBoundary("phase continuation did not settle")
-
-
-def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
-    """Number of zeros (with multiplicity) of f inside an axis-aligned box."""
-    path_fn, nseg = polyline_path(box.corners())
-    return winding_number(f, path_fn, nseg, tol)
+        owner = order[slot]
+        stop(owner[tm - t[bad] < 1e-13 * span[owner]],
+             "contour refinement below resolution floor")
+        sampled = walking[owner]
+        bad, slot, tm, owner = bad[sampled], slot[sampled], tm[sampled], owner[sampled]
+        if bad.size:
+            vm = _values(f, path(tm, ids[owner]))
+            stop(underflow(vm, owner), "contour value underflow: zero on the path?")
+            t = np.insert(t, bad + 1, tm)
+            vals = np.insert(vals, bad + 1, vm)
+            counts = counts + np.bincount(slot, minlength=order.size)
+    stop(np.flatnonzero(walking), "phase continuation did not settle")
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +357,7 @@ def refine_root(f, lam0: complex, box: Box, multiplicity: int = 1,
     diameter.  Stops when |f| < newton_residual * (1 + |f'|).  Raises
     NoConvergence or EscapedBox.
     """
-    (result,) = _refine_roots(f, [(lam0, box, multiplicity)], tol)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _checked(_refine_roots(f, [(lam0, box, multiplicity)], tol))[0]
 
 
 def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
@@ -300,48 +415,84 @@ def _split_line_clear(f, box: Box, axis: int, frac: float,
     as a deep dip of |f| along it; phase tracking on the two halves can
     alias a full turn there, so such lines are rejected up front.
     """
+    return bool(_lines_clear(f, [(box, axis, frac)], tol)[0])
+
+
+def _lines_clear(f, lines: list[tuple[Box, int, float]],
+                 tol: tol_mod.Tolerances) -> np.ndarray:
+    """_split_line_clear of every (box, axis, frac) line, in one values call."""
     m = tol.split_line_samples
-    if axis == 0:
-        x = box.re_lo + frac * box.width
-        pts = x + 1j * np.linspace(box.im_lo, box.im_hi, m)
-    else:
-        y = box.im_lo + frac * box.height
-        pts = np.linspace(box.re_lo, box.re_hi, m) + 1j * y
-    v = np.abs(f.values(pts))
-    if np.any(~np.isfinite(v)) or np.any(v <= tol.value_floor):
-        return False
-    return float(v.min()) > tol.split_dip_rel_floor * float(np.median(v))
+    across = np.array([axis == 0 for _, axis, _ in lines], dtype=bool)
+    cut = np.array([b.re_lo + frac * b.width if axis == 0 else
+                    b.im_lo + frac * b.height for b, axis, frac in lines])
+    lo = np.array([b.im_lo if axis == 0 else b.re_lo for b, axis, _ in lines])
+    hi = np.array([b.im_hi if axis == 0 else b.re_hi for b, axis, _ in lines])
+    along = np.linspace(lo, hi, m, axis=1)
+    pts = np.empty((len(lines), m), dtype=complex)
+    pts[across] = cut[across, None] + 1j * along[across]
+    pts[~across] = along[~across] + 1j * cut[~across, None]
+    v = np.abs(_values(f, pts.ravel())).reshape(len(lines), m)
+    sound = np.isfinite(v).all(axis=1) & (v > tol.value_floor).all(axis=1)
+    return sound & (v.min(axis=1) > tol.split_dip_rel_floor * np.median(v, axis=1))
 
 
 def _guarded_split(f, box: Box, w: int,
                    tol: tol_mod.Tolerances) -> tuple[tuple[Box, int], tuple[Box, int]]:
-    axis = 0 if box.width >= box.height else 1
-    last_exc: Exception | None = None
-    for frac in _SPLIT_FRACTIONS:
-        if not _split_line_clear(f, box, axis, frac, tol):
-            continue
-        b1, b2 = box.split(axis, frac)
-        try:
-            w1 = count_zeros(f, b1, tol)
-            w2 = count_zeros(f, b2, tol)
-        except ZeroNearBoundary as exc:
-            last_exc = exc
-            continue
-        if w1 + w2 != w:
-            raise AuditError(
-                f"winding not conserved under split: {w} -> {w1} + {w2} "
-                f"(box {box}, axis {axis}, frac {frac})"
-            )
-        return (b1, w1), (b2, w2)
-    raise ZeroNearBoundary(
-        f"all split lines rejected for box {box}"
-    ) from last_exc
+    return _checked(_split_boxes(f, [(box, w)], tol))[0]
+
+
+def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances) -> list:
+    """_guarded_split of every (box, winding) item, in lock-step passes.
+
+    Each pass probes the current split line of every unsplit box in one
+    values call and walks the halves of every clear line in one lock-step
+    walk; a box whose line or walk fails tries its next _SPLIT_FRACTIONS
+    entry in the next pass.  Returns the two (half, winding) pairs or the
+    exception of each item.
+    """
+    out: list = [None] * len(items)
+    axes = [0 if box.width >= box.height else 1 for box, _ in items]
+    tries = [0] * len(items)
+    last_exc: list[Exception | None] = [None] * len(items)
+    pending = list(range(len(items)))
+    while pending:
+        lines = [(items[i][0], axes[i], _SPLIT_FRACTIONS[tries[i]]) for i in pending]
+        clear = _lines_clear(f, lines, tol)
+        halves = [half for (box, axis, frac), ok in zip(lines, clear) if ok
+                  for half in box.split(axis, frac)]
+        counts = iter(zip(halves, _count_zeros(f, halves, tol)))
+        retry = []
+        for i, (box, axis, frac), ok in zip(pending, lines, clear):
+            if ok:
+                (b1, w1), (b2, w2) = next(counts), next(counts)
+                failed = next((w for w in (w1, w2) if isinstance(w, Exception)), None)
+                if failed is None:
+                    w = items[i][1]
+                    out[i] = ((b1, w1), (b2, w2)) if w1 + w2 == w else AuditError(
+                        f"winding not conserved under split: {w} -> {w1} + {w2} "
+                        f"(box {box}, axis {axis}, frac {frac})"
+                    )
+                    continue
+                last_exc[i] = failed
+            tries[i] += 1
+            if tries[i] < len(_SPLIT_FRACTIONS):
+                retry.append(i)
+                continue
+            out[i] = ZeroNearBoundary(f"all split lines rejected for box {box}")
+            out[i].__cause__ = last_exc[i]
+        pending = retry
+    return out
 
 
 def _scan_columns(f, boxes: list[Box], newton_scale: float,
                   tol: tol_mod.Tolerances) -> list[tuple[Box, int, list[Resonance]]]:
-    """(box, winding, refined zeros) of every column box, in rounds."""
-    counts = [count_zeros(f, box, tol) for box in boxes]
+    """(box, winding, refined zeros) of every column box, in rounds.
+
+    One lock-step walk counts every column box.  Each round then runs
+    Newton on every ready box and splits every other box in lock-step
+    passes; a box whose Newton start fails is split too.
+    """
+    counts = _checked(_count_zeros(f, boxes, tol))
     found: list[list[Resonance]] = [[] for _ in boxes]
     work = [(col, box, w) for col, (box, w) in enumerate(zip(boxes, counts)) if w]
     while work:
@@ -355,7 +506,6 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
                 lam, resid = results[col, b]
                 found[col].append(Resonance(lam=lam, residual=resid, winding=1, box=b))
                 continue
-            # a failed Newton start falls through to a further split
             if wb > 1 and b.diameter < tol.multiplicity_diameter:
                 # refuses to separate below the multiplicity scale: report as one
                 lam, resid = refine_root(f, b.center, b.inflate(4.0), wb, tol)
@@ -363,8 +513,10 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
                 continue
             if b.diameter < tol.min_box_diameter:
                 raise NoConvergence(f"cannot localise zero inside {b}")
-            split.extend((col, sb, sw) for sb, sw in _guarded_split(f, b, wb, tol) if sw)
-        work = split
+            split.append((col, b, wb))
+        halves = _checked(_split_boxes(f, [(b, wb) for _, b, wb in split], tol))
+        work = [(col, sb, sw) for (col, _, _), pair in zip(split, halves)
+                for sb, sw in pair if sw]
     return list(zip(boxes, counts, found))
 
 

@@ -10,7 +10,9 @@ change (the cotangent guard of the diffraction coefficient, structural
 slack in surface validation) stay with the code that uses them.  The CLI honours the environment
 variable ``CONERES_TOL_OVERRIDES``: it names a YAML file whose keys are a
 subset of the field names below; any other key, a value that is not a
-number of the field's type, or an int field below 1, is an error.
+number of the field's type, an int field below 1, or a float field that
+is not finite or lies outside its range (``with_overrides``), is an
+error.
 """
 from __future__ import annotations
 
@@ -71,6 +73,15 @@ ENV_VAR = "CONERES_TOL_OVERRIDES"
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
 
+# float fields whose range is narrower than "positive", with its wording
+_FLOAT_RANGES = {
+    "winding_max_phase_step": (lambda v: 0.0 < v <= math.pi, "in (0, pi]"),
+    "winding_max_mag_step": (lambda v: v > 1.0, "above 1"),
+    "winding_reject_frac": (lambda v: 0.0 < v < 0.5, "in (0, 0.5)"),
+    "split_dip_rel_floor": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+}
+_POSITIVE = (lambda v: v > 0.0, "positive")
+
 
 def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
     """Return ``base`` with the given fields replaced.
@@ -78,7 +89,12 @@ def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
     Unknown keys raise KeyError.  A value must be a number, and an int for
     an int field; bools and strings raise TypeError.  Int fields count
     samples, points, rounds or retries, so a value below 1 raises
-    ValueError.
+    ValueError.  So does a float field that is not finite or lies outside
+    its range: ``winding_max_phase_step`` in (0, pi],
+    ``winding_max_mag_step`` above 1, ``winding_reject_frac`` in (0, 0.5),
+    ``split_dip_rel_floor`` in (0, 1), every other float field positive.
+    A step or ratio bound outside its range makes every walk refine until
+    it fails, or switches its guard off.
     """
     unknown = set(mapping) - _FIELD_TYPES.keys()
     if unknown:
@@ -90,6 +106,12 @@ def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
             raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
         if kind is int and value < 1:
             raise ValueError(f"{key} must be at least 1, got {value!r}")
+        if kind is float:
+            in_range, wording = _FLOAT_RANGES.get(key, _POSITIVE)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            if not in_range(value):
+                raise ValueError(f"{key} must be {wording}, got {value!r}")
     return dataclasses.replace(base, **mapping)
 
 

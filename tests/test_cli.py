@@ -213,10 +213,12 @@ def test_tolerance_override_removed_field_rejected(tmp_path):
 
 @pytest.mark.parametrize("content", [None, ": : :\n", "- 1\n- 2\n",
                                      'newton_max_iter: "abc"\n',
-                                     "winding_initial_per_segment: 0\n"])
+                                     "winding_initial_per_segment: 0\n",
+                                     "winding_max_phase_step: 0\n"])
 def test_tolerance_override_bad_file_is_one_line(tmp_path, content):
     # a missing file, unparseable YAML, a list, a string for an int field,
-    # an int field below 1 (one sample per side would lose every zero)
+    # an int field below 1 (one sample per side would lose every zero), a
+    # float field out of range (every walk would refine until it fails)
     cfg = tmp_path / "tol.yaml"
     if content is not None:
         cfg.write_text(content)

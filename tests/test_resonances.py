@@ -8,8 +8,9 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      ZeroNearBoundary, char_function, count_zeros,
                      polyline_path, refine_root, scan_strip, winding_number,
                      with_overrides)
-from coneres.resonances import (_SPLIT_FRACTIONS, _guarded_split,
-                                _refine_roots, _split_line_clear)
+from coneres.asymptotics import log_band_path
+from coneres.resonances import (_SPLIT_FRACTIONS, _count_zeros, _guarded_split,
+                                _refine_roots, _split_boxes, _split_line_clear)
 
 
 def poly_handle(*zeros):
@@ -35,6 +36,22 @@ def poly_handle(*zeros):
         return out
 
     return FunctionHandle(values, derivs)
+
+
+class Counted:
+    """A zero finder's f that tallies its values calls and points."""
+
+    def __init__(self, f):
+        self.f, self.calls, self.points = f, 0, 0
+
+    def values(self, lam):
+        lam = np.atleast_1d(np.asarray(lam))
+        self.calls += 1
+        self.points += lam.size
+        return self.f.values(lam)
+
+    def values_and_derivs(self, lam):
+        return self.f.values_and_derivs(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +84,49 @@ def test_count_zeros_conjugate_pair():
     h = poly_handle(3.0 - 0.5j, 3.2 - 1.1j)
     assert count_zeros(h, Box(2.5, 3.5, -1.5, 0.0)) == 2
     assert count_zeros(h, Box(2.5, 3.5, -1.0, 0.0)) == 1
+
+
+def test_lockstep_walk_matches_count_zeros_box_by_box():
+    zeros = ((-1e-15 + 0j, 1.3 - 0.2j, 3.4 + 0.3j, 5.6 - 0.1j, 5.8 + 0.2j,
+              7.0 + 0j) + (9.5 + 0j,) * 32)
+    boxes = [Box(0, 1, -0.5, 0.5),      # zero 1e-15 off the left wall: floor
+             Box(3, 4, -0.5, 0.5),      # one zero
+             Box(5, 6.5, -0.5, 0.5),    # two zeros
+             Box(6.5, 7.0, -0.5, 0.5),  # right wall through a zero: underflow
+             Box(9, 10, -0.5, 0.5),     # 32-fold zero: over the point budget
+             Box(11, 12, -0.5, 0.5),    # no zero, one refinement round
+             Box(1.0, 1.6, -0.5, 0.1)]  # one zero
+    tol = with_overrides({"winding_max_points": 150})
+    lockstep = Counted(poly_handle(*zeros))
+    got = _count_zeros(lockstep, boxes, tol)
+    alone = Counted(poly_handle(*zeros))
+    messages = []
+    for box, g in zip(boxes, got):
+        try:
+            want = count_zeros(alone, box, tol)
+        except ZeroNearBoundary as exc:
+            assert type(g) is ZeroNearBoundary and str(g) == str(exc)
+            messages.append(str(exc))
+        else:
+            assert type(g) is int and g == want
+    assert [g for g in got if type(g) is int] == [1, 2, 0, 1]
+    assert messages == ["contour refinement below resolution floor",
+                        "contour value underflow: zero on the path?",
+                        "contour refinement exceeded point budget"]
+    # the same points, as the one-contour walk evaluated them before the
+    # walks ran in lock-step, in fewer values calls
+    assert lockstep.points == alone.points == 601
+    assert lockstep.calls < alone.calls
+
+
+def test_winding_number_walks_a_log_band():
+    # one zero 0.01 above the band's lower curve takes four refinement rounds
+    zeros = (5.13 - 0.8j, 7.02 - 1.2j, complex(6.0, -0.8 * math.log(6.0) + 0.01),
+             4.5 - 0.1j)   # the last lies above the band
+    h = Counted(poly_handle(*zeros))
+    path, nseg = log_band_path(4.0, 8.0, 0.3, 0.8)
+    assert winding_number(h, path, nseg) == 3
+    assert (h.points, h.calls) == (73, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +219,33 @@ def test_guarded_split_walk_failure_tries_next_line():
                        match="all split lines rejected") as info:
         _guarded_split(h, box, 1, DEFAULT)
     assert isinstance(info.value.__cause__, ZeroNearBoundary)
+
+
+def test_lockstep_split_matches_guarded_split_box_by_box():
+    h = poly_handle(1.0 + 0j, 10.5 - 0.1j, 11.5 + 0.1j,
+                    21.0 + 0j, 21.14 + 0j, 20.86 + 0j, 21.3 + 0j, 20.7 + 0j,
+                    30.0 - 1e-14 + 0j, 31.3 - 0.2j, 40.6 + 0j, 50.5 - 0.5j)
+    items = [(Box(0, 2, -0.5, 0.5), 1),     # first line through a zero
+             (Box(10, 12, -0.5, 0.5), 2),   # split on the first line
+             (Box(20, 22, -0.5, 0.5), 5),   # a zero on every line
+             (Box(30, 32, -0.5, 0.5), 1),   # every left-half walk fails
+             (Box(40, 42, -0.5, 0.5), 2),   # winding not conserved
+             (Box(50, 51, -1.0, 1.0), 1)]   # taller than wide: cut across
+    got = _split_boxes(h, items, DEFAULT)
+    for (box, w), g in zip(items, got):
+        try:
+            want = _guarded_split(h, box, w, DEFAULT)
+        except (ZeroNearBoundary, AuditError) as exc:
+            assert type(g) is type(exc) and str(g) == str(exc)
+            assert type(g.__cause__) is type(exc.__cause__)
+        else:
+            assert g == want
+    assert [b.re_hi for (b, _), _ in got[:2]] == [pytest.approx(1.14), 11.0]
+    assert [type(g) for g in got[2:5]] == [ZeroNearBoundary, ZeroNearBoundary,
+                                           AuditError]
+    assert got[2].__cause__ is None
+    assert str(got[3].__cause__) == "contour refinement below resolution floor"
+    assert got[5] == ((Box(50, 51, -1.0, 0.0), 1), (Box(50, 51, 0.0, 1.0), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +413,20 @@ def test_scan_audit_total(triangle_345):
     assert rs.total_winding_audited > 4   # several interleaved families
     lams = rs.lambdas()
     assert np.all(np.diff(lams.real) >= 0)
+
+
+def test_scan_evaluates_the_same_points_in_few_values_calls(triangle_345):
+    # 515,224 points, as the scan evaluated them when it walked one contour
+    # per values call (11,139 calls); the lock-step walks take the same
+    # points in fewer than 1,000 calls
+    cf = char_function(triangle_345)
+    counted = Counted(cf)
+    before = cf.n_evals
+    rs = scan_strip(triangle_345, SearchRegion(100.0, 300.0, 0.05, 0.35),
+                    char_fn=counted)
+    assert len(rs.items) == 764
+    assert cf.n_evals - before == 515_224
+    assert counted.calls < 1000
 
 
 def test_scan_decisions_do_not_depend_on_values_kernel(triangle_345):

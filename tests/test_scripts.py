@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,3 +21,55 @@ def test_script_runs(script, args):
     r = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                        capture_output=True, text=True, env=env, timeout=300)
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_states_the_verdicts():
+    benchmark = {"end_to_end": [{"name": "solve_s", "better": "lower", "bound": 0.25},
+                                {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}],
+                 "per_layer": [{"name": "monodromy.points_per_call", "better": "higher"},
+                               {"name": "resonances.boundary_rejections", "better": "lower"}]}
+    rows = {  # ten (base, head) pairs per metric
+        # head wins 9 of 10 pairs, its median 0.5 below and the base IQR 0.45
+        "solve_s": [(1.0 + 0.1 * i, 0.4 + 0.1 * i) for i in range(9)] + [(1.0, 1.2)],
+        # head wins every pair, by less than the base IQR
+        "cpu_s": [(1.0 + 0.1 * i, 0.99 + 0.1 * i) for i in range(10)],
+        # head loses every pair; +10.5 % is past the 10 % bound
+        "peak_rss_mb": [(100.0 + i, 110.5 + i) for i in range(10)],
+        # higher is better: head wins 10 of 10 by more than the IQR
+        "monodromy.points_per_call": [(40.0 + i % 2, 900.0) for i in range(10)],
+        # all ties, base median 0
+        "resonances.boundary_rejections": [(0, 0)] * 10,
+    }
+    pairs = [{side: {"metrics": {name: {"value": row[i][k]} for name, row in rows.items()}}
+              for k, side in enumerate(("base", "head"))} for i in range(10)]
+    out = _bench_pairs().summarise(pairs, benchmark)
+
+    solve = out["solve_s"]
+    assert (solve["head_wins"], solve["pairs"]) == (9, 10)
+    assert solve["base_iqr"] == pytest.approx(0.45)
+    assert solve["median_change"] == pytest.approx((0.85 - 1.35) / 1.35)
+    assert solve["claim_met"] and solve["within_bound"]
+
+    cpu = out["cpu_s"]
+    assert cpu["head_wins"] == 10 and not cpu["claim_met"]
+
+    rss = out["peak_rss_mb"]
+    assert rss["head_wins"] == 0 and not rss["claim_met"]
+    assert rss["median_change"] == pytest.approx(10.5 / 104.5)
+    assert rss["within_bound"] is False
+
+    ppc = out["monodromy.points_per_call"]
+    assert ppc["head_wins"] == 10 and ppc["claim_met"]
+    assert "within_bound" not in ppc    # per-layer metrics carry no bound
+
+    ties = out["resonances.boundary_rejections"]
+    assert ties["head_wins"] == 0 and ties["median_change"] is None
+    assert not ties["claim_met"]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pathlib
 import re
 
@@ -59,6 +60,48 @@ INT_FIELDS = [f.name for f in dataclasses.fields(Tolerances)
 def test_int_override_below_one_names_the_field(key, value):
     with pytest.raises(ValueError, match=rf"^{key} must be at least 1"):
         with_overrides({key: value})
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(Tolerances)
+                if type(f.default) is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_float_override_must_be_finite(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+        with_overrides({key: value})
+
+
+@pytest.mark.parametrize("key,value,wording", [
+    # every phase increment or |f| ratio counts as suspicious: each walk
+    # refines until it fails, and the scan reports a numerical failure
+    ("winding_max_phase_step", 0, "in (0, pi]"),
+    ("winding_max_phase_step", 3.2, "in (0, pi]"),
+    ("winding_max_mag_step", 0.5, "above 1"),
+    ("winding_max_mag_step", 1, "above 1"),
+    # the guard can never fire
+    ("split_dip_rel_floor", -1, "in (0, 1)"),
+    ("split_dip_rel_floor", 1.0, "in (0, 1)"),
+    ("winding_reject_frac", 0.5, "in (0, 0.5)"),
+    ("winding_reject_frac", 0.0, "in (0, 0.5)"),
+] + [(key, value, "positive") for key in FLOAT_FIELDS
+     if key not in ("winding_max_phase_step", "winding_max_mag_step",
+                    "split_dip_rel_floor", "winding_reject_frac")
+     for value in (0, -1e-9)])
+def test_float_override_out_of_range_names_the_field(key, value, wording):
+    with pytest.raises(ValueError,
+                       match=rf"^{key} must be {re.escape(wording)}, got "):
+        with_overrides({key: value})
+
+
+def test_float_overrides_at_the_edge_of_their_range_apply():
+    tol = with_overrides({"winding_max_phase_step": math.pi,
+                          "winding_max_mag_step": 1.01,
+                          "winding_reject_frac": 0.49,
+                          "split_dip_rel_floor": 0.99, "value_floor": 1e-300})
+    assert tol.winding_max_phase_step == math.pi
+    assert with_overrides({}) == Tolerances()
 
 
 def test_override_values_of_the_field_type_apply():

@@ -177,31 +177,29 @@ def _checked(results: list) -> list:
 def polyline_path(vertices: np.ndarray):
     """Closed piecewise-linear path; parameter t in [0, nseg]."""
     v = np.asarray(vertices, dtype=complex)
-    nseg = v.size - 1
-
-    def path(t):
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.floor(t).astype(int), 0, nseg - 1)
-        fr = t - seg
-        return v[seg] * (1.0 - fr) + v[seg + 1] * fr
-
-    return path, nseg
+    path = _polylines(v[None, :])
+    return (lambda t: path(np.asarray(t, dtype=float), 0)), v.size - 1
 
 
-def _box_path(boxes: list[Box]):
-    """path(t, owner): the polyline_path of boxes[owner].corners() at t."""
-    lims = np.array([(b.re_lo, b.re_hi, b.im_lo, b.im_hi) for b in boxes],
-                    dtype=float).reshape(-1, 4)
-    v = np.empty((len(boxes), 5), dtype=complex)
-    v.real = lims[:, [0, 1, 1, 0, 0]]
-    v.imag = lims[:, [2, 2, 3, 3, 2]]
+def _polylines(v: np.ndarray):
+    """path(t, owner): the closed polyline through the vertices v[owner].
+
+    Row k of v holds nseg + 1 vertices; t runs over [0, nseg].
+    """
+    nseg = v.shape[1] - 1
 
     def path(t, owner):
-        seg = np.clip(np.floor(t).astype(int), 0, 3)
+        seg = np.clip(np.floor(t).astype(int), 0, nseg - 1)
         fr = t - seg
         return v[owner, seg] * (1.0 - fr) + v[owner, seg + 1] * fr
 
     return path
+
+
+def _box_path(boxes: list[Box]):
+    """path(t, owner): the polyline_path of boxes[owner].corners() at t."""
+    return _polylines(np.array([b.corners() for b in boxes],
+                               dtype=complex).reshape(-1, 5))
 
 
 def winding_number(f, path_fn, nseg: int,
@@ -242,42 +240,41 @@ def _winding_numbers(f, path, nsegs: list[int], tol: tol_mod.Tolerances,
     Contour k is t -> path(t, k) for t in [0, nsegs[k]], sampled and
     refined as winding_number walks it alone: the same points and the
     same checks in the same order.  Contours go in groups of at most
-    MAX_BATCH_POINTS initial samples, and each refinement round of a
-    group evaluates the midpoints of all its live contours together.
-    Returns the winding or the ZeroNearBoundary of each contour.
+    MAX_BATCH_POINTS initial samples (a longer contour walks alone), and
+    each refinement round of a group evaluates the midpoints of all its
+    live contours together.  Returns the winding or the ZeroNearBoundary
+    of each contour.
     """
     per_seg = per_segment or tol.winding_initial_per_segment
-    out: list = [None] * len(nsegs)
-    group: list[int] = []
-    size = 0
+    out: list = []
+    first = size = 0
     for k, nseg in enumerate(nsegs):
-        if group and size + nseg * per_seg + 1 > MAX_BATCH_POINTS:
-            _walk_group(f, path, group, nsegs, per_seg, tol, out)
-            group, size = [], 0
-        group.append(k)
+        if k > first and size + nseg * per_seg + 1 > MAX_BATCH_POINTS:
+            out += _walk_group(f, path, first, nsegs[first:k], per_seg, tol)
+            first, size = k, 0
         size += nseg * per_seg + 1
-    if group:
-        _walk_group(f, path, group, nsegs, per_seg, tol, out)
+    if nsegs:
+        out += _walk_group(f, path, first, nsegs[first:], per_seg, tol)
     return out
 
 
-def _walk_group(f, path, group: list[int], nsegs: list[int], per_seg: int,
-                tol: tol_mod.Tolerances, out: list) -> None:
-    """Walk the contours of ``group`` in lock-step and fill their ``out`` slots.
+def _walk_group(f, path, first: int, nsegs: list[int], per_seg: int,
+                tol: tol_mod.Tolerances) -> list:
+    """_winding_numbers of contours first, first + 1, ... in one lock-step walk.
 
     The samples of the walking contours sit in two flat arrays, ``t`` and
     ``vals``, contour after contour in t order: ``order`` holds their
-    positions in ``group`` and ``counts`` their sample counts.  A contour
+    positions in ``nsegs`` and ``counts`` their sample counts.  A contour
     leaves the arrays once it settles or fails.
     """
-    n = len(group)
-    ids = np.asarray(group)
-    span = np.asarray([float(nsegs[k]) for k in group])
-    grids = {m: np.linspace(0.0, float(m), m * per_seg + 1)
-             for m in {nsegs[k] for k in group}}
-    t = np.concatenate([grids[nsegs[k]] for k in group])
+    n = len(nsegs)
+    out: list = [None] * n
+    ids = first + np.arange(n)
+    span = np.asarray(nsegs, dtype=float)
+    grids = {m: np.linspace(0.0, float(m), m * per_seg + 1) for m in set(nsegs)}
+    t = np.concatenate([grids[m] for m in nsegs])
     order = np.arange(n)
-    counts = np.asarray([grids[nsegs[k]].size for k in group])
+    counts = np.asarray([grids[m].size for m in nsegs])
     vals = _values(f, path(t, np.repeat(ids, counts)))
     # force exact closure so the increments telescope to a clean multiple
     ends = np.cumsum(counts)
@@ -285,9 +282,9 @@ def _walk_group(f, path, group: list[int], nsegs: list[int], per_seg: int,
     walking = np.ones(n, dtype=bool)
 
     def stop(hit: np.ndarray, message: str) -> None:
-        """End the walks of the contours in ``group`` positions ``hit``."""
+        """End the walks of the contours at positions ``hit``."""
         for c in np.unique(hit[walking[hit]]):
-            out[group[c]] = ZeroNearBoundary(message)
+            out[c] = ZeroNearBoundary(message)
         walking[hit] = False
 
     def underflow(v: np.ndarray, owners: np.ndarray) -> np.ndarray:
@@ -302,7 +299,7 @@ def _walk_group(f, path, group: list[int], nsegs: list[int], per_seg: int,
             t, vals = t[keep], vals[keep]
             order, counts = order[kept], counts[kept]
             if order.size == 0:
-                return
+                return out
         ends = np.cumsum(counts)
         dphi = np.angle(vals[1:] / vals[:-1])
         # a sharp magnitude dip between samples can hide an aliased full
@@ -319,12 +316,12 @@ def _walk_group(f, path, group: list[int], nsegs: list[int], per_seg: int,
         for j in np.flatnonzero(nbad == 0):
             w = float(dphi[ends[j] - counts[j]:ends[j] - 1].sum()) / TWO_PI
             if abs(w - round(w)) > tol.winding_reject_frac:
-                out[group[order[j]]] = ZeroNearBoundary(
+                out[order[j]] = ZeroNearBoundary(
                     f"winding {w:.4f} too far from an integer; phase tracking "
                     "is unreliable on this contour"
                 )
             else:
-                out[group[order[j]]] = int(round(w))
+                out[order[j]] = int(round(w))
         walking[order[nbad == 0]] = False
         stop(order[counts + nbad > tol.winding_max_points],
              "contour refinement exceeded point budget")
@@ -343,6 +340,7 @@ def _walk_group(f, path, group: list[int], nsegs: list[int], per_seg: int,
             vals = np.insert(vals, bad + 1, vm)
             counts = counts + np.bincount(slot, minlength=order.size)
     stop(np.flatnonzero(walking), "phase continuation did not settle")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +488,7 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
 
     One lock-step walk counts every column box.  Each round then runs
     Newton on every ready box and splits every other box in lock-step
-    passes; a box whose Newton start fails is split too.
+    passes.
     """
     counts = _checked(_count_zeros(f, boxes, tol))
     found: list[list[Resonance]] = [[] for _ in boxes]
@@ -506,6 +504,7 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
                 lam, resid = results[col, b]
                 found[col].append(Resonance(lam=lam, residual=resid, winding=1, box=b))
                 continue
+            # a failed Newton start falls through to a further split
             if wb > 1 and b.diameter < tol.multiplicity_diameter:
                 # refuses to separate below the multiplicity scale: report as one
                 lam, resid = refine_root(f, b.center, b.inflate(4.0), wb, tol)

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of every output file of the three reference scans.
+"""SHA-256 digests of the outputs of three reference scans and two gap reports.
 
     python3 scripts/scan_digest.py [CHECKOUT] [--short]
 
 Imports ``coneres`` from ``CHECKOUT/src`` (default: the checkout this
 script lives in), runs three scans through ``coneres.cli.main`` into a
 temporary directory, and prints one ``sha256  file`` line per output
-file, twelve in all:
+file, twelve in all, then one more for ``gap/reports.json``:
 
 - ``tri345/``: the doubled 3-4-5 triangle,
   ``--re 100 300 --nu 0.05 0.35 --jobs 1``
@@ -15,11 +15,17 @@ file, twelve in all:
 - ``flatcone/``: ``build_two_cone_surface(cone_angle=2*pi)`` written as
   a surface file, ``--re 50 60 --nu 0.02 0.3``; a 2*pi cone does not
   diffract, so the scan has no ladder model and writes no fit
+- ``gap/reports.json``: ``json.dumps`` (sorted keys) of the ``to_dict()``
+  list of two ``gap_report`` calls with ``im_offset`` the model's C_im,
+  the doubled 3-4-5 triangle over Re [100, 1100] and
+  ``build_two_cone_surface()``, whose gap band is not empty, over
+  Re [100, 300]; the digest is of that string, not of a file
 
-Two checkouts produce byte-identical scans exactly when ``diff`` finds
-no difference between the outputs of this script run on each.
-``--short`` cuts the first two strips to a few units of Re, for smoke
-tests; the third is that short already.
+Two checkouts produce byte-identical scans and reports exactly when
+``diff`` finds no difference between the outputs of this script run on
+each.  ``--short`` cuts the first two strips to a few units of Re and
+both gap windows to Re [100, 120], for smoke tests; the third strip is
+that short already.
 The scans' own stdout goes to stderr; the exit code is the first
 nonzero exit code of a scan, or 0.
 """
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import math
 import sys
 import tempfile
@@ -46,6 +53,20 @@ def scans(surface: Path, flat: Path, short: bool) -> dict[str, list[str]]:
         "flatcone": ["--input", str(flat), "--re", "50", "60",
                      "--nu", "0.02", "0.3"],
     }
+
+
+def gap_reports(short: bool) -> str:
+    """The ``gap/reports.json`` string of the two reference gap reports."""
+    from coneres import build_polygon_double, build_two_cone_surface
+    from coneres.asymptotics import gap_report, ladder_model_from_spec
+
+    triangle = build_polygon_double([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
+    reports = []
+    for spec, re_hi in ((triangle, 1100.0), (build_two_cone_surface(), 300.0)):
+        model = ladder_model_from_spec(spec)
+        window = (100.0, 120.0 if short else re_hi)
+        reports.append(gap_report(spec, window, im_offset=model.c_im).to_dict())
+    return json.dumps(reports, sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -76,6 +97,8 @@ def main(argv=None) -> int:
             for path in sorted((root / name).iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {name}/{path.name}")
+    digest = hashlib.sha256(gap_reports(args.short).encode()).hexdigest()
+    print(f"{digest}  gap/reports.json")
     return 0
 
 

@@ -355,27 +355,40 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     empty with winding zero.  The string band is nu in [nu0 - delta,
     nu0 + delta] around the string slope, with curves shifted vertically by
     im_offset (use the model's C_im to centre the band on the string).
+
+    Each band is walked with an initial grid sampled by length.  Along the
+    two curves it must resolve the dominant phase rate 2*L0, else full
+    turns can alias away near the string.  The two vertical edges get the
+    same density per unit length, but at least
+    tol.winding_initial_per_segment samples: the dominant term
+    e^{2 i lam L0} does not turn along an edge, since its phase depends on
+    Re lam only, so the phase moves fast only near a zero, which adaptive
+    refinement catches at the density of a scan's box sides.
     """
     scales = length_scales(spec, tol)
     nu0 = 1 / (2.0 * scales.L0)
     f = char_function(spec)
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
-    # initial density must resolve the dominant phase rate 2*L0 along the
-    # curves, else full turns can alias away near the string
     per_seg = max(tol.winding_initial_per_segment,
                   int(math.ceil((re_hi - re_lo) * scales.L0 * 8.0 / math.pi)))
+
+    def band_winding(nu_lo: float, nu_hi: float, offset: float) -> int:
+        path, nseg = log_band_path(re_lo, re_hi, nu_lo, nu_hi, offset)
+        right, left = (max(tol.winding_initial_per_segment,
+                           math.ceil((nu_hi - nu_lo) * math.log(x) * per_seg
+                                     / (re_hi - re_lo)))
+                       for x in (re_hi, re_lo))
+        return winding_number(f, path, nseg, tol,
+                              per_segment=(per_seg, right, per_seg, left))
 
     gap_lo, gap_hi = nu0 + delta, scales.Lambda - delta
     if gap_lo >= gap_hi:
         empty, gap_w = True, 0
     else:
         empty = False
-        path, nseg = log_band_path(re_lo, re_hi, gap_lo, gap_hi)
-        gap_w = winding_number(f, path, nseg, tol, per_segment=per_seg)
+        gap_w = band_winding(gap_lo, gap_hi, 0.0)
 
-    s_lo = max(nu0 - delta, 0.0)
-    path, nseg = log_band_path(re_lo, re_hi, s_lo, nu0 + delta, im_offset)
-    string_w = winding_number(f, path, nseg, tol, per_segment=per_seg)
+    string_w = band_winding(max(nu0 - delta, 0.0), nu0 + delta, im_offset)
 
     eps_prime: float | None
     t1 = 1.5 - 2.0 * scales.L0 * (scales.Lambda - delta)

@@ -16,6 +16,8 @@ and the final scan are audited: windings must be conserved exactly.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,7 +206,7 @@ def _box_path(boxes: list[Box]):
 
 def winding_number(f, path_fn, nseg: int,
                    tol: tol_mod.Tolerances = tol_mod.DEFAULT,
-                   per_segment: int | None = None) -> int:
+                   per_segment: int | Sequence[int] | None = None) -> int:
     """Winding of f along the closed path, by adaptive phase continuation.
 
     Sampling is refined until every consecutive phase increment is below
@@ -212,14 +214,36 @@ def winding_number(f, path_fn, nseg: int,
     stalls (a zero on or hugging the contour) or the winding fails to come
     out near an integer.
 
-    per_segment sets the initial sample count per path segment.  Phase
-    tracking is only sound when the initial grid already resolves the
-    function's systematic phase drift along the path (adaptive refinement
-    alone cannot detect aliased full turns), so callers walking long
-    contours must scale this with path length times phase rate.
+    per_segment sets the initial sample count of the path segments: one
+    int for every segment (default tol.winding_initial_per_segment), or a
+    sequence of nseg ints, one per segment; a count below 1, a non-int or
+    a sequence of another length raises ValueError.  Phase tracking is
+    only sound when the initial grid already resolves the function's
+    systematic phase drift along the path (adaptive refinement alone
+    cannot detect aliased full turns), so callers walking long contours
+    must scale the counts with segment length times phase rate.
     """
-    return _checked(_winding_numbers(f, lambda t, owner: path_fn(t), [nseg],
-                                     tol, per_segment))[0]
+    return _checked(_winding_numbers(f, lambda t, owner: path_fn(t),
+                                     [_initial_grid(nseg, per_segment, tol)],
+                                     tol))[0]
+
+
+def _is_count(p) -> bool:
+    """p is an int (not a bool) of at least 1."""
+    return isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 1
+
+
+def _initial_grid(nseg: int, per_segment, tol: tol_mod.Tolerances) -> np.ndarray:
+    """The samples t in [0, nseg] a walk starts from (see winding_number)."""
+    p = tol.winding_initial_per_segment if per_segment is None else per_segment
+    if _is_count(p):
+        return np.linspace(0.0, float(nseg), nseg * p + 1)
+    counts = list(p) if isinstance(p, Iterable) else []
+    if len(counts) != nseg or not all(map(_is_count, counts)):
+        raise ValueError(f"per_segment must be an int >= 1 or a sequence of "
+                         f"{nseg} such ints, got {per_segment!r}")
+    return np.concatenate([np.linspace(k, k + 1.0, c, endpoint=False)
+                           for k, c in enumerate(counts)] + [[float(nseg)]])
 
 
 def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
@@ -230,51 +254,50 @@ def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
 
 def _count_zeros(f, boxes: list[Box], tol: tol_mod.Tolerances) -> list:
     """count_zeros of every box, in lock-step: the int or exception of each."""
-    return _winding_numbers(f, _box_path(boxes), [4] * len(boxes), tol)
+    grid = _initial_grid(4, None, tol)
+    return _winding_numbers(f, _box_path(boxes), [grid] * len(boxes), tol)
 
 
-def _winding_numbers(f, path, nsegs: list[int], tol: tol_mod.Tolerances,
-                     per_segment: int | None = None) -> list:
+def _winding_numbers(f, path, grids: list[np.ndarray],
+                     tol: tol_mod.Tolerances) -> list:
     """winding_number of several closed contours, walked in lock-step.
 
-    Contour k is t -> path(t, k) for t in [0, nsegs[k]], sampled and
-    refined as winding_number walks it alone: the same points and the
-    same checks in the same order.  Contours go in groups of at most
-    MAX_BATCH_POINTS initial samples (a longer contour walks alone), and
-    each refinement round of a group evaluates the midpoints of all its
-    live contours together.  Returns the winding or the ZeroNearBoundary
-    of each contour.
+    Contour k is t -> path(t, k) for t in [0, grids[k][-1]], sampled first
+    at grids[k] and refined as winding_number walks it alone: the same
+    points and the same checks in the same order.  Contours go in groups
+    of at most MAX_BATCH_POINTS initial samples (a longer contour walks
+    alone), and each refinement round of a group evaluates the midpoints
+    of all its live contours together.  Returns the winding or the
+    ZeroNearBoundary of each contour.
     """
-    per_seg = per_segment or tol.winding_initial_per_segment
     out: list = []
     first = size = 0
-    for k, nseg in enumerate(nsegs):
-        if k > first and size + nseg * per_seg + 1 > MAX_BATCH_POINTS:
-            out += _walk_group(f, path, first, nsegs[first:k], per_seg, tol)
+    for k, grid in enumerate(grids):
+        if k > first and size + grid.size > MAX_BATCH_POINTS:
+            out += _walk_group(f, path, first, grids[first:k], tol)
             first, size = k, 0
-        size += nseg * per_seg + 1
-    if nsegs:
-        out += _walk_group(f, path, first, nsegs[first:], per_seg, tol)
+        size += grid.size
+    if grids:
+        out += _walk_group(f, path, first, grids[first:], tol)
     return out
 
 
-def _walk_group(f, path, first: int, nsegs: list[int], per_seg: int,
+def _walk_group(f, path, first: int, grids: list[np.ndarray],
                 tol: tol_mod.Tolerances) -> list:
     """_winding_numbers of contours first, first + 1, ... in one lock-step walk.
 
     The samples of the walking contours sit in two flat arrays, ``t`` and
     ``vals``, contour after contour in t order: ``order`` holds their
-    positions in ``nsegs`` and ``counts`` their sample counts.  A contour
+    positions in ``grids`` and ``counts`` their sample counts.  A contour
     leaves the arrays once it settles or fails.
     """
-    n = len(nsegs)
+    n = len(grids)
     out: list = [None] * n
     ids = first + np.arange(n)
-    span = np.asarray(nsegs, dtype=float)
-    grids = {m: np.linspace(0.0, float(m), m * per_seg + 1) for m in set(nsegs)}
-    t = np.concatenate([grids[m] for m in nsegs])
+    span = np.array([g[-1] for g in grids])
+    t = np.concatenate(grids)
     order = np.arange(n)
-    counts = np.asarray([grids[m].size for m in nsegs])
+    counts = np.array([g.size for g in grids])
     vals = _values(f, path(t, np.repeat(ids, counts)))
     # force exact closure so the increments telescope to a clean multiple
     ends = np.cumsum(counts)

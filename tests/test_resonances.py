@@ -129,6 +129,44 @@ def test_winding_number_walks_a_log_band():
     assert (h.points, h.calls) == (73, 5)
 
 
+def test_per_segment_sequence_of_equal_counts_walks_the_int_grid():
+    zeros = (5.13 - 0.8j, 7.02 - 1.2j, complex(6.0, -0.8 * math.log(6.0) + 0.01),
+             4.5 - 0.1j)
+    path, nseg = log_band_path(4.0, 8.0, 0.3, 0.8)
+    for per_segment in (16, (16, 16, 16, 16)):
+        h = Counted(poly_handle(*zeros))
+        assert winding_number(h, path, nseg, per_segment=per_segment) == 3
+        assert h.points == 73
+
+
+def test_per_segment_counts_sample_each_segment():
+    # the walk starts from 3 samples on the first side, 1 on each other
+    first = []
+    h = poly_handle(0.0j)
+    f = FunctionHandle(lambda lam: first.append(lam) or h.values(lam))
+    square = np.array([1, 1j, -1, -1j, 1], dtype=complex)
+    path, nseg = polyline_path(square)
+    assert winding_number(f, path, nseg, per_segment=[3, 1, 1, 1]) == 1
+    t = np.array([0, 1 / 3, 2 / 3, 1, 2, 3, 4])
+    np.testing.assert_allclose(first[0], path(t), atol=1e-15)
+    assert winding_number(h, path, nseg, per_segment=np.array([2, 2, 2, 2])) == 1
+
+
+@pytest.mark.parametrize("per_segment", [
+    0, -3,                     # an int below 1
+    2.5, 16.0, True, "16",     # not an int
+    (16, 16, 16),              # a sequence of the wrong length
+    (16, 0, 16, 16),           # an entry below 1
+    (16, 16.0, 16, 16),        # an entry that is not an int
+])
+def test_per_segment_rejects_bad_counts(per_segment):
+    h = Counted(poly_handle(0.0j))
+    path, nseg = polyline_path(np.array([1, 1j, -1, -1j, 1], dtype=complex))
+    with pytest.raises(ValueError, match="per_segment"):
+        winding_number(h, path, nseg, per_segment=per_segment)
+    assert h.calls == 0
+
+
 # ---------------------------------------------------------------------------
 # Newton refinement
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of the outputs of three reference scans and two gap reports.
+"""SHA-256 digests of reference scans, gap reports and the statphase battery.
 
     python3 scripts/scan_digest.py [CHECKOUT] [--short]
 
 Imports ``coneres`` from ``CHECKOUT/src`` (default: the checkout this
 script lives in), runs three scans through ``coneres.cli.main`` into a
 temporary directory, and prints one ``sha256  file`` line per output
-file, twelve in all, then one more for ``gap/reports.json``:
+file, twelve in all, then one each for ``gap/reports.json`` and
+``statphase/check.txt``:
 
 - ``tri345/``: the doubled 3-4-5 triangle,
   ``--re 100 300 --nu 0.05 0.35 --jobs 1``
@@ -20,20 +21,23 @@ file, twelve in all, then one more for ``gap/reports.json``:
   the doubled 3-4-5 triangle over Re [100, 1100] and
   ``build_two_cone_surface()``, whose gap band is not empty, over
   Re [100, 300]; the digest is of that string, not of a file
+- ``statphase/check.txt``: the stdout of ``coneres statphase-check``,
+  the printed remainder slopes and verdicts of the battery
 
-Two checkouts produce byte-identical scans and reports exactly when
-``diff`` finds no difference between the outputs of this script run on
-each.  ``--short`` cuts the first two strips to a few units of Re and
+Two checkouts produce byte-identical scans, reports and battery output
+exactly when ``diff`` finds no difference between the outputs of this
+script run on each.  ``--short`` cuts the first two strips to a few units of Re and
 both gap windows to Re [100, 120], for smoke tests; the third strip is
-that short already.
+that short already, and the battery always runs in full.
 The scans' own stdout goes to stderr; the exit code is the first
-nonzero exit code of a scan, or 0.
+nonzero exit code of a scan or of the battery, or 0.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -99,7 +103,14 @@ def main(argv=None) -> int:
                 print(f"{digest}  {name}/{path.name}")
     digest = hashlib.sha256(gap_reports(args.short).encode()).hexdigest()
     print(f"{digest}  gap/reports.json")
-    return 0
+    battery = io.StringIO()
+    with contextlib.redirect_stdout(battery):
+        rc = cli.main(["statphase-check"])
+    digest = hashlib.sha256(battery.getvalue().encode()).hexdigest()
+    print(f"{digest}  statphase/check.txt")
+    if rc:
+        print(f"error: statphase-check exited {rc}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

@@ -347,7 +347,8 @@ class GapReport:
 
 def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
                delta: float = 0.02, im_offset: float = 0.0,
-               tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> GapReport:
+               tol: tol_mod.Tolerances = tol_mod.DEFAULT,
+               char_fn=None) -> GapReport:
     """Count zeros in the expected resonance-free band and around the string.
 
     The gap band is nu in [1/(2 L0) + delta, Lambda - delta]; when the
@@ -364,10 +365,14 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     e^{2 i lam L0} does not turn along an edge, since its phase depends on
     Re lam only, so the phase moves fast only near a zero, which adaptive
     refinement catches at the density of a scan's box sides.
+
+    ``char_fn`` replaces the spec's lru-cached characteristic function
+    with any object having ``values``, as in ``scan_strip``; a fresh
+    ``CharFunction(spec)`` counts the points of this report alone.
     """
     scales = length_scales(spec, tol)
     nu0 = 1 / (2.0 * scales.L0)
-    f = char_function(spec)
+    f = char_function(spec) if char_fn is None else char_fn
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
     per_seg = max(tol.winding_initial_per_segment,
                   int(math.ceil((re_hi - re_lo) * scales.L0 * 8.0 / math.pi)))

@@ -5,15 +5,19 @@ Model integral over R^n:
     I(h) = integral a(x) * chi(x) * exp(i * (w/h) * <Q x, x> / 2) dx
 
 with a polynomial amplitude a, a smooth radial cutoff chi that is 1 on
-|x| <= R/2 and 0 outside |x| <= R, and a nondegenerate symmetric Q.  The
-expansion around the stationary point x = 0 is
+|x| <= R/2 and 0 outside |x| <= R (the one-exponential glue
+1/(1 + exp(1/(1-u) - 1/u)) in u = 2|x|/R - 1), and a nondegenerate
+symmetric Q.  The expansion around the stationary point x = 0 is
 
     I(h) ~ (2 pi h / w)^{n/2} e^{i pi sgn(Q)/4} |det Q|^{-1/2}
            * sum_k (1/k!) (i/2)^k (h/w)^k (L^k a)(0),
     L = sum_{j,l} (Q^{-1})_{jl} d_j d_l,
 
 with remainder O(h^{order + n/2}) after `order` terms.  A brute-force
-panelled Gauss-Legendre quadrature serves as the independent check.
+panelled Gauss-Legendre quadrature serves as the independent check; in
+two dimensions it sums a tensor grid in the eigen-coordinates of Q,
+where the phase factor splits into two 1-d vectors and the polynomial
+amplitude into Vandermonde products.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyvander
 
 from .errors import CostBudgetExceeded, InsufficientData
 from . import tolerances as tol_mod
@@ -40,7 +45,10 @@ class QuadraticPhase:
         a = self.array
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("quadratic form must be a square matrix")
-        if not np.allclose(a, a.T, atol=1e-12):
+        # `inverse` reads the whole matrix, `eigvalsh` and `eigh` one
+        # triangle: symmetric to rounding, relative to the largest entry
+        if not np.allclose(a, a.T, rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(a), initial=0.0)):
             raise ValueError("quadratic form must be symmetric")
         if np.min(np.abs(np.linalg.eigvalsh(a))) < 1e-8:
             raise ValueError("quadratic form is (nearly) degenerate")
@@ -188,12 +196,15 @@ def quadratic_expansion(problem: StatPhaseProblem, order: int) -> complex:
 
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
-    """Smooth step: 1 at u<=0, 0 at u>=1 (standard exp(-1/u) glue)."""
+    """Smooth step: 1 at u<=0, 0 at u>=1.
+
+    The standard exp(-1/u) glue g/(f+g), f = exp(-1/u), g = exp(-1/(1-u)),
+    written as 1/(1 + exp(1/(1-u) - 1/u)): one exponential, and the
+    infinities at the clipped ends give exactly 1 and 0.
+    """
     u = np.clip(u, 0.0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        f = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
-        g = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
-    return g / (f + g)
+        return 1.0 / (1.0 + np.exp(1.0 / (1.0 - u) - 1.0 / u))
 
 
 def radial_cutoff(x: np.ndarray, radius: float) -> np.ndarray:
@@ -220,6 +231,29 @@ def _panel_nodes(lo: float, hi: float, max_width: float,
     return nodes, weights
 
 
+def _binomial_power(a: float, b: float, k: int) -> np.ndarray:
+    """Coefficients of (a u + b v)^k: entry r multiplies u^r v^(k-r)."""
+    return np.array([math.comb(k, r) * a ** r * b ** (k - r)
+                     for r in range(k + 1)])
+
+
+def _compose_rotation(c: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Coefficients in (u, v) of the 2-d polynomial c at (x, y) = rot (u, v).
+
+    c[i, j] multiplies x^i y^j.  x^i y^j is homogeneous of degree i + j in
+    (u, v), so its coefficients are the convolution of those of the two
+    binomial powers, laid on the anti-diagonal p + q = i + j of the result.
+    """
+    d = c.shape[0] + c.shape[1] - 2
+    out = np.zeros((d + 1, d + 1))
+    for i, j in zip(*np.nonzero(c)):
+        prod = np.convolve(_binomial_power(rot[0, 0], rot[0, 1], i),
+                           _binomial_power(rot[1, 0], rot[1, 1], j))
+        p = np.arange(i + j + 1)
+        out[p, i + j - p] += c[i, j] * prod
+    return out
+
+
 def quadrature_oracle(problem: StatPhaseProblem,
                       tol: tol_mod.Tolerances = tol_mod.DEFAULT,
                       amplitude=None) -> complex:
@@ -228,7 +262,17 @@ def quadrature_oracle(problem: StatPhaseProblem,
     Panel width tracks the local oscillation wavelength so each panel sees
     about one period.  Supports n = 1 and n = 2; guards a point budget and
     a smallest usable h.  `amplitude`, when given, replaces the polynomial
-    (it still gets multiplied by the cutoff).
+    (it still gets multiplied by the cutoff); it is called on points of
+    shape (..., n) in the original coordinates ((...,) when n = 1).
+
+    For n = 2 the tensor grid lies in the eigen-coordinates u of Q,
+    x = P u with Q = P diag(lam) P^T.  P is orthogonal, so the Jacobian is
+    1 and the radial cutoff keeps its form, and the phase splits into the
+    1-d factors e_k = weights * exp(i (w/h) lam_k u_k^2 / 2).  The
+    polynomial amplitude is composed with P once, to coefficients C', and
+    the grid sum is e_u^T ((V_u C' V_v^T) o chi) e_v with V the Vandermonde
+    matrices of the nodes: per chunk of rows one real cutoff block and two
+    matrix products, no complex exponential over the grid.
     """
     if problem.h < tol.quad_min_h:
         raise InsufficientData(
@@ -262,21 +306,26 @@ def quadrature_oracle(problem: StatPhaseProblem,
                 * np.exp(scale * qa[0, 0] * x * x))
         return complex(np.sum(vals * weights))
 
+    lam, rot = np.linalg.eigh(qa)
+    v2 = nodes * nodes
+    e_u, e_v = weights * np.exp(scale * np.multiply.outer(lam, v2))
+    e_v = np.stack([e_v.real, e_v.imag], axis=1)   # real, so one real product
+    if amplitude is None:
+        c_rot = _compose_rotation(coeffs, rot)
+        cv = c_rot @ polyvander(nodes, c_rot.shape[1] - 1).T
     total = 0.0 + 0.0j
     chunk = max(1, int(2 ** 19 // nodes.size))
     for start in range(0, nodes.size, chunk):
-        xs = nodes[start:start + chunk]
-        ws = weights[start:start + chunk]
-        X, Y = np.meshgrid(xs, nodes, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-        quad_form = (qa[0, 0] * X * X + 2.0 * qa[0, 1] * X * Y
-                     + qa[1, 1] * Y * Y)
+        us = nodes[start:start + chunk]
+        r = np.sqrt((us * us)[:, None] + v2[None, :])
+        chi = _bump_profile(2.0 * r / R - 1.0)
         if amplitude is None:
-            amp = np.polynomial.polynomial.polyval2d(X, Y, coeffs)
+            amp = polyvander(us, c_rot.shape[0] - 1) @ cv
         else:
-            amp = amplitude(pts)
-        vals = amp * radial_cutoff(pts, R) * np.exp(scale * quad_form)
-        total += np.sum(vals * ws[:, None] * weights[None, :])
+            amp = amplitude(us[:, None, None] * rot[:, 0]
+                            + nodes[None, :, None] * rot[:, 1])
+        g = (amp * chi) @ e_v
+        total += e_u[start:start + chunk] @ (g[:, 0] + 1j * g[:, 1])
     return complex(total)
 
 

@@ -9,7 +9,6 @@ from coneres import (CharFunction, InsufficientData, LadderModel,
                      gap_report, ladder_in_window, ladder_model_from_spec,
                      log_band_path, predicted_ladder, scan_strip, verify_scan,
                      build_polygon_double, winding_number, with_overrides)
-from coneres import asymptotics
 
 TWO_PI = 2 * math.pi
 
@@ -216,12 +215,11 @@ def test_gap_report_two_cone(two_cone):
     assert shifted.string_expected == pytest.approx(20.0)
 
 
-def _counted_gap_report(monkeypatch, spec, re_window):
+def _counted_gap_report(spec, re_window):
     """gap_report on a fresh CharFunction, centred on the string; its points."""
     cf = CharFunction(spec)
-    monkeypatch.setattr(asymptotics, "char_function", lambda s: cf)
     rep = gap_report(spec, re_window,
-                     im_offset=ladder_model_from_spec(spec).c_im)
+                     im_offset=ladder_model_from_spec(spec).c_im, char_fn=cf)
     return rep, cf.n_evals
 
 
@@ -229,10 +227,10 @@ def _counted_gap_report(monkeypatch, spec, re_window):
     ("triangle_345", True, 0, 318, 5_206),
     ("two_cone", False, 0, 200, 6_626),
 ])
-def test_gap_report_samples_band_edges_by_length(request, monkeypatch, surface,
-                                                 empty, gap, string, points):
+def test_gap_report_samples_band_edges_by_length(request, surface, empty, gap,
+                                                 string, points):
     spec = request.getfixturevalue(surface)
-    rep, n = _counted_gap_report(monkeypatch, spec, (100.0, 300.0))
+    rep, n = _counted_gap_report(spec, (100.0, 300.0))
     assert (rep.gap_band_empty, rep.gap_winding, rep.string_winding) == (
         empty, gap, string)
     assert n == points
@@ -240,7 +238,7 @@ def test_gap_report_samples_band_edges_by_length(request, monkeypatch, surface,
 
 @pytest.mark.parametrize("eps, gap", [(0.02, 70), (0.005, 70),
                                       (-0.005, 69), (-0.02, 69)])
-def test_gap_report_counts_zeros_near_sparse_edges(monkeypatch, two_cone, eps, gap):
+def test_gap_report_counts_zeros_near_sparse_edges(two_cone, eps, gap):
     # window ends eps inside (or -eps outside) the ladder zeros z[3] and
     # z[-4]: the zeros sit 0.005 to 0.02 from the edges sampled at the floor
     # density.  The gap windings count string zeros: at finite Re the
@@ -248,7 +246,7 @@ def test_gap_report_counts_zeros_near_sparse_edges(monkeypatch, two_cone, eps, g
     m = ladder_model_from_spec(two_cone)
     z = ladder_in_window(m, 100.0, 400.0)
     lo, hi = z[3].real - eps, z[-4].real + eps
-    rep, _ = _counted_gap_report(monkeypatch, two_cone, (lo, hi))
+    rep, _ = _counted_gap_report(two_cone, (lo, hi))
     assert rep.string_winding == len(ladder_in_window(m, lo, hi))
     assert rep.string_winding == (294 if eps > 0 else 292)
     assert rep.gap_winding == gap

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from coneres import (CostBudgetExceeded, InsufficientData, QuadraticPhase,
                      StatPhaseProblem, nonstationary_decay, order_check,
                      quadratic_expansion, quadratic_expansion_terms,
                      quadrature_oracle, radial_cutoff)
+from coneres.statphase import _bump_profile, _compose_rotation, _panel_nodes
 
 
 def problem_1d(h, coeffs=(1.0, 0.0, 1.0, 0.0, 1.0), w=1.0, q=2.0):
@@ -31,6 +33,14 @@ def test_quadratic_phase_validation():
         QuadraticPhase.from_array([[1.0, 1.0], [1.0, 1.0]])   # degenerate
     with pytest.raises(ValueError):
         QuadraticPhase(((1.0, 2.0),))                          # not square
+    # off by 4e-6, within a relative 1e-5: inverse, eigvalsh and the
+    # oracle's eigh would each read a different form
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticPhase.from_array([[2.0, 0.6], [0.600004, 2.0]])
+    for a in ([[2.0, 0.6], [0.6, 2.0]], [[1.0, 0.8], [0.8, -1.5]],
+              [[3e8, -1e8], [-1e8, 2e8]], [[3e-6, 1e-6], [1e-6, -2e-6]],
+              [[0.5]]):
+        assert QuadraticPhase.from_array(a).array.tolist() == a
 
 
 def test_quadratic_phase_properties():
@@ -62,6 +72,32 @@ def test_radial_cutoff_shape():
     assert np.all(chi[np.abs(x) >= 3.0] == 0.0)
     inside = chi[(np.abs(x) > 1.5) & (np.abs(x) < 3.0)]
     assert np.all((0.0 <= inside) & (inside <= 1.0))
+
+
+def _two_exponential_bump(u):
+    """The cutoff profile as g / (f + g), f = exp(-1/u), g = exp(-1/(1-u))."""
+    u = np.clip(u, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        f = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
+        g = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
+    return g / (f + g)
+
+
+def test_bump_profile_is_the_two_exponential_glue():
+    u = np.linspace(-0.5, 1.5, 200_001)
+    u = np.concatenate([u, [5e-324, 1e-300, np.nextafter(1.0, 0.0)]])
+    r = np.linspace(0.0, 4.5, 4_001)
+    t = np.linspace(0.0, 40.0, r.size)
+    x = r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no RuntimeWarning may escape
+        b = _bump_profile(u)
+        chi = radial_cutoff(x, 3.0)
+    assert np.max(np.abs(b - _two_exponential_bump(u))) <= 4.5e-16
+    assert np.all(b[u <= 0.0] == 1.0) and np.all(b[u >= 1.0] == 0.0)
+    assert np.all(chi[r <= 1.5] == 1.0) and np.all(chi[r >= 3.0] == 0.0)
+    annulus = chi[(r > 1.5) & (r < 3.0)]
+    assert np.all((0.0 <= annulus) & (annulus <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +158,61 @@ def test_expansion_matches_oracle_seeded():
         ora = quadrature_oracle(p)
         app = quadratic_expansion(p, 3)
         assert abs(ora - app) <= 1e-3 * abs(ora)
+
+
+def _tensor_grid_oracle(p, amplitude=None):
+    """The 2-d oracle summed on the grid of the original coordinates."""
+    R = p.cutoff_radius
+    freq = abs(p.w) / p.h * p.quadratic.norm * R
+    nodes, weights = _panel_nodes(-R, R, min(2 * math.pi / freq, R / 8.0), 12)
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    pts = np.stack([X, Y], axis=-1)
+    qa = p.quadratic.array
+    quad_form = qa[0, 0] * X * X + 2.0 * qa[0, 1] * X * Y + qa[1, 1] * Y * Y
+    if amplitude is None:
+        amp = np.polynomial.polynomial.polyval2d(X, Y, p.amplitude_array)
+    else:
+        amp = amplitude(pts)
+    vals = (amp * radial_cutoff(pts, R)
+            * np.exp(0.5j * p.w / p.h * quad_form))
+    return complex(np.sum(vals * weights[:, None] * weights[None, :]))
+
+
+def _indefinite_problem(h):
+    coeffs = np.zeros((4, 3))
+    coeffs[0, 0], coeffs[1, 1], coeffs[3, 0], coeffs[0, 2] = 1.0, 0.7, -0.4, 0.5
+    return StatPhaseProblem(QuadraticPhase.from_array([[1.0, 0.8], [0.8, -1.5]]),
+                            coeffs.tolist(), w=1.3, h=h)
+
+
+def _bump_amplitude(x):
+    return np.exp(-np.sum((x - (0.3, -0.2)) ** 2, axis=-1)) * (1.0 + x[..., 0])
+
+
+@pytest.mark.parametrize("make, amplitude", [
+    (problem_2d, None),
+    (_indefinite_problem, None),
+    (_indefinite_problem, _bump_amplitude),
+])
+def test_eigen_coordinate_oracle_matches_tensor_grid(make, amplitude):
+    p = make(0.2)
+    want = _tensor_grid_oracle(p, amplitude)
+    got = quadrature_oracle(p, amplitude=amplitude)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_rotated_amplitude_coefficients():
+    rng = np.random.default_rng(11)
+    c = rng.uniform(-1.0, 1.0, size=(4, 3))
+    _, eig_rot = np.linalg.eigh([[1.0, 0.8], [0.8, -1.5]])
+    reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
+    for rot in (eig_rot, reflection):
+        c_rot = _compose_rotation(c, rot)
+        u = rng.uniform(-3.0, 3.0, size=(2, 50))
+        x = rot @ u
+        want = np.polynomial.polynomial.polyval2d(x[0], x[1], c)
+        got = np.polynomial.polynomial.polyval2d(u[0], u[1], c_rot)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_expansion_matches_oracle_2d():

@@ -313,6 +313,18 @@ def log_band_path(re_lo: float, re_hi: float, nu_lo: float, nu_hi: float,
     return path, 4
 
 
+def _band_counts(re_lo: float, re_hi: float, nu_lo: float, nu_hi: float,
+                 L0: float, tol: tol_mod.Tolerances) -> tuple[int, int, int, int]:
+    """Initial samples per segment of a gap_report band (see gap_report)."""
+    per_seg = max(tol.winding_initial_per_segment,
+                  int(math.ceil((re_hi - re_lo) * L0 * 8.0 / math.pi)))
+    right, left = (max(tol.winding_initial_per_segment,
+                       math.ceil((nu_hi - nu_lo) * math.log(x) * per_seg
+                                 / (re_hi - re_lo)))
+                   for x in (re_hi, re_lo))
+    return per_seg, right, per_seg, left
+
+
 @dataclass(frozen=True)
 class GapReport:
     re_window: tuple[float, float]
@@ -369,31 +381,52 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     ``char_fn`` replaces the spec's lru-cached characteristic function
     with any object having ``values``, as in ``scan_strip``; a fresh
     ``CharFunction(spec)`` counts the points of this report alone.
+
+    Each band is walked as one contour, so its initial grid, about
+    ``2 (re_hi - re_lo) L0 8/pi`` samples, must fit in
+    tol.winding_max_points.  A longer window raises ValueError before
+    any evaluation; the message gives the grid size and the longest
+    window whose grid fits (15,706 units of Re from Re 100 on the 3-4-5
+    double at the default tolerances, of which 15,650 walk within the
+    budget).
     """
     scales = length_scales(spec, tol)
     nu0 = 1 / (2.0 * scales.L0)
     f = char_function(spec) if char_fn is None else char_fn
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
-    per_seg = max(tol.winding_initial_per_segment,
-                  int(math.ceil((re_hi - re_lo) * scales.L0 * 8.0 / math.pi)))
-
-    def band_winding(nu_lo: float, nu_hi: float, offset: float) -> int:
-        path, nseg = log_band_path(re_lo, re_hi, nu_lo, nu_hi, offset)
-        right, left = (max(tol.winding_initial_per_segment,
-                           math.ceil((nu_hi - nu_lo) * math.log(x) * per_seg
-                                     / (re_hi - re_lo)))
-                       for x in (re_hi, re_lo))
-        return winding_number(f, path, nseg, tol,
-                              per_segment=(per_seg, right, per_seg, left))
-
     gap_lo, gap_hi = nu0 + delta, scales.Lambda - delta
-    if gap_lo >= gap_hi:
-        empty, gap_w = True, 0
-    else:
-        empty = False
-        gap_w = band_winding(gap_lo, gap_hi, 0.0)
+    empty = gap_lo >= gap_hi
+    bands = ([] if empty else [(gap_lo, gap_hi, 0.0)]) + [
+        (max(nu0 - delta, 0.0), nu0 + delta, im_offset)]
+    paths = [log_band_path(re_lo, re_hi, lo, hi, offset)
+             for lo, hi, offset in bands]
 
-    string_w = band_winding(max(nu0 - delta, 0.0), nu0 + delta, im_offset)
+    def grid_size(width: float) -> int:
+        """Initial samples of the larger band over Re [re_lo, re_lo + width]."""
+        return 1 + max(sum(_band_counts(re_lo, re_lo + width, lo, hi,
+                                        scales.L0, tol)) for lo, hi, _ in bands)
+
+    size = grid_size(re_hi - re_lo)
+    if size > tol.winding_max_points:
+        fits, over = 0.0, re_hi - re_lo
+        for _ in range(60):
+            mid = 0.5 * (fits + over)
+            if grid_size(mid) <= tol.winding_max_points:
+                fits = mid
+            else:
+                over = mid
+        raise ValueError(
+            f"gap_report window Re [{re_lo:g}, {re_hi:g}] needs {size:,} "
+            f"initial samples on one band contour, over "
+            f"tol.winding_max_points = {tol.winding_max_points:,}; the "
+            f"longest window from Re {re_lo:g} whose grid fits is "
+            f"{math.floor(10.0 * fits) / 10.0:,} long, and refinement needs "
+            f"room below that"
+        )
+    windings = [winding_number(f, path, nseg, tol, per_segment=_band_counts(
+                    re_lo, re_hi, lo, hi, scales.L0, tol))
+                for (path, nseg), (lo, hi, _) in zip(paths, bands)]
+    gap_w, string_w = ([0] if empty else []) + windings
 
     eps_prime: float | None
     t1 = 1.5 - 2.0 * scales.L0 * (scales.Lambda - delta)

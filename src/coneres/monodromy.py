@@ -191,24 +191,67 @@ def null_vector(spec: ConeSurfaceSpec, lam: complex,
     caller vouches for lam being near a zero of the determinant via
     ``residual_threshold``.
     """
+    out = null_vectors(spec, [lam], residual_threshold, seed)[0]
+    if isinstance(out, NoConvergence):
+        raise out
+    return out
+
+
+def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
+                 seed: int = 7) -> list:
+    """null_vector at every lambda of ``lams`` in one pass.
+
+    One values call gates every lambda; the matrices of those that pass
+    are built and solved as one stack, falling back to one matrix at a
+    time when a member is exactly singular.  Returns the MonodromyVector,
+    or the NoConvergence of a failed gate, of each lambda.
+    """
     cf = char_function(spec)
-    value = abs(cf.values(np.asarray([complex(lam)]))[0])
-    if value > residual_threshold:
-        raise NoConvergence(
-            f"|det(I-M)| = {value:.3e} exceeds {residual_threshold:.3e}; "
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    out: list = [None] * lams.size
+    if not lams.size:
+        return out
+    value = np.abs(cf.values(lams))
+    for i in np.flatnonzero(value > residual_threshold):
+        out[i] = NoConvergence(
+            f"|det(I-M)| = {value[i]:.3e} exceeds {residual_threshold:.3e}; "
             "refine lambda before requesting a null vector"
         )
-    a = np.eye(cf.size, dtype=complex) - cf.matrices(np.asarray([lam]))[0]
+    ok = np.flatnonzero(~(value > residual_threshold))
+    a = np.eye(cf.size, dtype=complex) - cf.matrices(lams[ok])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(cf.size) + 1j * rng.standard_normal(cf.size)
     v /= np.linalg.norm(v)
+    try:
+        vs, residuals = _inverse_iteration(a, np.tile(v, (ok.size, 1)))
+    except np.linalg.LinAlgError:
+        vs, residuals = zip(*(_nudged_inverse_iteration(m, v) for m in a))
+    for i, components, residual in zip(ok, vs, residuals):
+        out[i] = MonodromyVector(lam=complex(lams[i]), components=components,
+                                 edge_index=cf.edge_index, residual=residual)
+    return out
+
+
+def _inverse_iteration(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list]:
+    """Two inverse-iteration steps on the stack a from the rows of v.
+
+    Returns the unit vectors and their residuals |a v|.  Norms go row by
+    row through np.linalg.norm, as for one matrix, so each row matches
+    _nudged_inverse_iteration bit for bit.
+    """
+    for _ in range(2):
+        w = np.linalg.solve(a, v[..., None])[..., 0]
+        v = w / np.array([np.linalg.norm(row) for row in w])[:, None]
+    return v, [float(np.linalg.norm(r)) for r in (a @ v[..., None])[..., 0]]
+
+
+def _nudged_inverse_iteration(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """_inverse_iteration of one matrix, nudged off exact singularity."""
     for _ in range(2):
         try:
             w = np.linalg.solve(a, v)
         except np.linalg.LinAlgError:
-            a = a + np.eye(cf.size) * 1e-14
+            a = a + np.eye(len(a)) * 1e-14
             w = np.linalg.solve(a, v)
         v = w / np.linalg.norm(w)
-    residual = float(np.linalg.norm(a @ v))
-    return MonodromyVector(lam=complex(lam), components=v,
-                           edge_index=cf.edge_index, residual=residual)
+    return v, float(np.linalg.norm(a @ v))

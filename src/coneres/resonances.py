@@ -9,7 +9,8 @@ rounds over the boxes of all its columns, with one Newton batch a round.
 Its winding walks run in lock-step: one walk counts every column box,
 and each split pass probes the split lines of every box it splits in one
 evaluation and walks all the halves together, so each refinement round
-evaluates the new points of every live contour at once.  Each box is
+evaluates the new points of every live contour at once, and re-tests only
+the steps it split.  Each box is
 still decided on its own samples and iterates alone.  Every subdivision
 and the final scan are audited: windings must be conserved exactly.
 """
@@ -222,6 +223,11 @@ def winding_number(f, path_fn, nseg: int,
     systematic phase drift along the path (adaptive refinement alone
     cannot detect aliased full turns), so callers walking long contours
     must scale the counts with segment length times phase rate.
+
+    Cost: one pass over the initial grid, then per refinement round only
+    the steps still suspicious (see _walk_group), so a long contour that
+    needs a few local refinements costs about its grid, not grid times
+    rounds.
     """
     return _checked(_winding_numbers(f, lambda t, owner: path_fn(t),
                                      [_initial_grid(nseg, per_segment, tol)],
@@ -267,8 +273,9 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
     points and the same checks in the same order.  Contours go in groups
     of at most MAX_BATCH_POINTS initial samples (a longer contour walks
     alone), and each refinement round of a group evaluates the midpoints
-    of all its live contours together.  Returns the winding or the
-    ZeroNearBoundary of each contour.
+    of all its live contours together.  A group costs one pass over its
+    initial samples, then per round only the steps split in that round.
+    Returns the winding or the ZeroNearBoundary of each contour.
     """
     out: list = []
     first = size = 0
@@ -286,26 +293,34 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
                 tol: tol_mod.Tolerances) -> list:
     """_winding_numbers of contours first, first + 1, ... in one lock-step walk.
 
-    The samples of the walking contours sit in two flat arrays, ``t`` and
-    ``vals``, contour after contour in t order: ``order`` holds their
-    positions in ``grids`` and ``counts`` their sample counts.  A contour
-    leaves the arrays once it settles or fails.
+    Round 0 evaluates every grid and takes the phase increment and the
+    |f| ratio of every step between consecutive samples.  The increments
+    of the steps that pass go into a running total per contour; only the
+    suspicious steps are kept, as (t0, t1, f0, f1, owner) arrays in
+    contour-then-t order.  Each later round splits every kept step of a
+    walking contour at its midpoint, evaluates the midpoints in one call
+    and tests the two half-steps alone, so round 0 costs a pass over the
+    grids and a later round costs the split steps only; settled samples
+    are never touched again.  A contour settles once it has no suspicious
+    step, and leaves the walk when it settles or fails.
     """
     n = len(grids)
     out: list = [None] * n
     ids = first + np.arange(n)
     span = np.array([g[-1] for g in grids])
-    t = np.concatenate(grids)
-    order = np.arange(n)
     counts = np.array([g.size for g in grids])
+    t = np.concatenate(grids)
     vals = _values(f, path(t, np.repeat(ids, counts)))
     # force exact closure so the increments telescope to a clean multiple
     ends = np.cumsum(counts)
     vals[ends - 1] = vals[ends - counts]
     walking = np.ones(n, dtype=bool)
+    total = np.zeros(n)
 
     def stop(hit: np.ndarray, message: str) -> None:
-        """End the walks of the contours at positions ``hit``."""
+        """End the walks of the contours ``hit``."""
+        if not hit.size:
+            return
         for c in np.unique(hit[walking[hit]]):
             out[c] = ZeroNearBoundary(message)
         walking[hit] = False
@@ -313,56 +328,83 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
     def underflow(v: np.ndarray, owners: np.ndarray) -> np.ndarray:
         return owners[(np.abs(v) < tol.value_floor) | ~np.isfinite(v)]
 
-    stop(underflow(vals, np.repeat(order, counts)),
-         "contour value underflow: zero on the path?")
-    for _ in range(tol.winding_max_rounds):
-        kept = walking[order]
-        if not kept.all():
-            keep = np.repeat(kept, counts)
-            t, vals = t[keep], vals[keep]
-            order, counts = order[kept], counts[kept]
-            if order.size == 0:
-                return out
-        ends = np.cumsum(counts)
-        dphi = np.angle(vals[1:] / vals[:-1])
+    def increments(f0: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phase increment of every step f0 -> f1, and whether it is suspicious."""
+        dphi = np.angle(f1 / f0)
         # a sharp magnitude dip between samples can hide an aliased full
         # turn (zero pair hugging the path), so refine on |f| jumps too
-        mag = np.abs(vals)
-        ratio = mag[1:] / mag[:-1]
-        suspicious = ((np.abs(dphi) >= tol.winding_max_phase_step)
+        ratio = np.abs(f1) / np.abs(f0)
+        return dphi, ((np.abs(dphi) >= tol.winding_max_phase_step)
                       | (ratio >= tol.winding_max_mag_step)
                       | (ratio <= 1.0 / tol.winding_max_mag_step))
-        suspicious[ends[:-1] - 1] = False   # the steps from one contour to the next
-        bad = np.flatnonzero(suspicious)
-        slot = np.searchsorted(ends, bad, side="right")   # index into order
-        nbad = np.bincount(slot, minlength=order.size)
-        for j in np.flatnonzero(nbad == 0):
-            w = float(dphi[ends[j] - counts[j]:ends[j] - 1].sum()) / TWO_PI
+
+    stop(underflow(vals, np.repeat(np.arange(n), counts)),
+         "contour value underflow: zero on the path?")
+    order = np.flatnonzero(walking)
+    if order.size == 0:
+        return out
+    if order.size < n:
+        keep = np.repeat(walking, counts)
+        t, vals = t[keep], vals[keep]
+    ends = np.cumsum(counts[order])
+    dphi, suspicious = increments(vals[:-1], vals[1:])
+    seams = ends[:-1] - 1   # the steps from one contour to the next
+    suspicious[seams] = False
+    bad = np.flatnonzero(suspicious)
+    dphi[bad] = 0.0
+    dphi[seams] = 0.0
+    total[order] = np.add.reduceat(dphi, ends - counts[order])
+    # the suspicious steps (t0, t1, f0, f1) of each walking contour owner
+    steps = (t[bad], t[bad + 1], vals[bad], vals[bad + 1],
+             order[np.searchsorted(ends, bad, side="right")])
+    del t, vals, dphi, suspicious   # later rounds touch the kept steps only
+    for _ in range(tol.winding_max_rounds):
+        nbad = np.bincount(steps[4], minlength=n)
+        for j in np.flatnonzero(walking & (nbad == 0)):
+            w = float(total[j]) / TWO_PI
             if abs(w - round(w)) > tol.winding_reject_frac:
-                out[order[j]] = ZeroNearBoundary(
+                out[j] = ZeroNearBoundary(
                     f"winding {w:.4f} too far from an integer; phase tracking "
                     "is unreliable on this contour"
                 )
             else:
-                out[order[j]] = int(round(w))
-        walking[order[nbad == 0]] = False
-        stop(order[counts + nbad > tol.winding_max_points],
+                out[j] = int(round(w))
+        walking &= nbad > 0
+        stop(np.flatnonzero(counts + nbad > tol.winding_max_points),
              "contour refinement exceeded point budget")
-        sampled = walking[order[slot]]
-        bad, slot = bad[sampled], slot[sampled]
-        tm = 0.5 * (t[bad] + t[bad + 1])
-        owner = order[slot]
-        stop(owner[tm - t[bad] < 1e-13 * span[owner]],
+        t0, t1, f0, f1, owner = _kept(steps, walking[steps[4]])
+        tm = 0.5 * (t0 + t1)
+        stop(owner[tm - t0 < 1e-13 * span[owner]],
              "contour refinement below resolution floor")
-        sampled = walking[owner]
-        bad, slot, tm, owner = bad[sampled], slot[sampled], tm[sampled], owner[sampled]
-        if bad.size:
-            vm = _values(f, path(tm, ids[owner]))
-            stop(underflow(vm, owner), "contour value underflow: zero on the path?")
-            t = np.insert(t, bad + 1, tm)
-            vals = np.insert(vals, bad + 1, vm)
-            counts = counts + np.bincount(slot, minlength=order.size)
+        if not walking.any():
+            return out
+        t0, t1, f0, f1, owner, tm = _kept((t0, t1, f0, f1, owner, tm),
+                                          walking[owner])
+        fm = _values(f, path(tm, ids[owner]))
+        stop(underflow(fm, owner), "contour value underflow: zero on the path?")
+        counts += np.bincount(owner, minlength=n)
+        t0, t1, f0, f1, owner, tm, fm = _kept((t0, t1, f0, f1, owner, tm, fm),
+                                              walking[owner])
+        # the two halves of every split step, still in contour-then-t order
+        halves = (_interleave(t0, tm), _interleave(tm, t1),
+                  _interleave(f0, fm), _interleave(fm, f1), np.repeat(owner, 2))
+        dphi, suspicious = increments(halves[2], halves[3])
+        passed = ~suspicious
+        total += np.bincount(halves[4][passed], weights=dphi[passed], minlength=n)
+        steps = _kept(halves, suspicious)
     stop(np.flatnonzero(walking), "phase continuation did not settle")
+    return out
+
+
+def _kept(arrays: tuple, keep: np.ndarray) -> tuple:
+    """Every array of ``arrays`` at the positions where ``keep`` holds."""
+    return tuple(a[keep] for a in arrays)
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..."""
+    out = np.empty(2 * a.size, dtype=np.result_type(a, b))
+    out[0::2], out[1::2] = a, b
     return out
 
 
@@ -673,13 +715,12 @@ def _assemble_set(spec, f, boxes, results, region, tol,
         items.extend(found)
     items.sort(key=lambda r: (r.lam.real, r.lam.imag))
     if with_null_vectors and spec is not None:
-        from .monodromy import null_vector
-        for k, r in enumerate(items):
-            try:
-                mv = null_vector(spec, r.lam, residual_threshold=1e-4, seed=seed)
-                mass = tuple(sorted(mv.null_mass().items()))
-            except NoConvergence:   # residual too large for a null vector
-                mass = None
-            items[k] = replace(r, null_mass=mass)
+        from . import monodromy
+        vectors = monodromy.null_vectors(spec, [r.lam for r in items],
+                                         residual_threshold=1e-4, seed=seed)
+        # a NoConvergence: the residual is too large for a null vector
+        items = [replace(r, null_mass=None if isinstance(mv, NoConvergence)
+                         else tuple(sorted(mv.null_mass().items())))
+                 for r, mv in zip(items, vectors)]
     return ResonanceSet(items=tuple(items), region=region,
                         total_winding_audited=outer)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coneres import (CharFunction, InsufficientData, LadderModel,
+from coneres import (DEFAULT, CharFunction, InsufficientData, LadderModel,
                      SearchRegion, coset_deviations, fit_log_curve,
                      gap_report, ladder_in_window, ladder_model_from_spec,
                      log_band_path, predicted_ladder, scan_strip, verify_scan,
@@ -215,10 +215,10 @@ def test_gap_report_two_cone(two_cone):
     assert shifted.string_expected == pytest.approx(20.0)
 
 
-def _counted_gap_report(spec, re_window):
+def _counted_gap_report(spec, re_window, tol=DEFAULT):
     """gap_report on a fresh CharFunction, centred on the string; its points."""
     cf = CharFunction(spec)
-    rep = gap_report(spec, re_window,
+    rep = gap_report(spec, re_window, tol=tol,
                      im_offset=ladder_model_from_spec(spec).c_im, char_fn=cf)
     return rep, cf.n_evals
 
@@ -250,6 +250,27 @@ def test_gap_report_counts_zeros_near_sparse_edges(two_cone, eps, gap):
     assert rep.string_winding == len(ladder_in_window(m, lo, hi))
     assert rep.string_winding == (294 if eps > 0 else 292)
     assert rep.gap_winding == gap
+
+
+def test_gap_report_rejects_a_window_longer_than_the_point_budget(triangle_345):
+    # the string band's initial grid over Re [100, 17100] is 432,935 samples,
+    # over winding_max_points: rejected before a single evaluation
+    cf = CharFunction(triangle_345)
+    with pytest.raises(ValueError) as info:
+        gap_report(triangle_345, (100.0, 17100.0), char_fn=cf,
+                   im_offset=ladder_model_from_spec(triangle_345).c_im)
+    assert cf.n_evals == 0
+    message = str(info.value)
+    assert "tol.winding_max_points = 400,000" in message
+    assert "needs 432,935 initial samples" in message
+    assert "longest window from Re 100 whose grid fits is 15,706.6 long" in message
+    # a window one unit longer than that is rejected, a shorter one walks
+    with pytest.raises(ValueError, match="needs 400,0"):
+        gap_report(triangle_345, (100.0, 15807.6), char_fn=cf)
+    assert cf.n_evals == 0
+    tol = with_overrides({"winding_max_points": 20_000})
+    rep, n = _counted_gap_report(triangle_345, (100.0, 700.0), tol)
+    assert rep.string_winding == 955 and n < 20_000
 
 
 def test_gap_report_triangle_band_inverted(triangle_345):

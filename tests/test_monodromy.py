@@ -10,7 +10,8 @@ from coneres import (CharFunction, ConePoint, ConeSurfaceSpec, GeodesicEdge,
                      SearchRegion, build_polygon_double, char_function,
                      coupling_coefficient, ladder_model_from_spec, null_vector,
                      predicted_ladder, scan_strip, transfer_entry)
-from coneres.monodromy import MAX_SUM_EDGES
+from coneres.monodromy import (MAX_SUM_EDGES, _nudged_inverse_iteration,
+                               null_vectors)
 
 FOUR_PI = 4 * math.pi
 C_PROD_TWO_CONE = -1.0 / (16 * math.pi ** 2)
@@ -238,6 +239,59 @@ def test_null_vectors_triangle(triangle_345):
         hypotenuse_weight.append(mass["s1"] + mass["s1r"])
     # at least one zero rides the longest closed geodesic
     assert max(hypotenuse_weight) > 0.1
+
+
+def _short_tri345_zeros(triangle_345):
+    return [r.lam for r in scan_strip(triangle_345,
+                                      SearchRegion(100.0, 110.0, 0.05, 0.35)).items]
+
+
+def test_batched_null_vectors_match_null_vector_bit_for_bit(triangle_345):
+    lams = _short_tri345_zeros(triangle_345)
+    assert len(lams) > 30
+    batched = null_vectors(triangle_345, lams, residual_threshold=1e-4)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v /= np.linalg.norm(v)
+    cf = char_function(triangle_345)
+    for lam, mv in zip(lams, batched):
+        one = null_vector(triangle_345, lam, residual_threshold=1e-4)
+        assert mv.lam == one.lam == lam
+        assert np.array_equal(mv.components, one.components)
+        assert mv.residual == one.residual
+        # the matrix-by-matrix iteration a scan ran per zero before batching
+        a = np.eye(6, dtype=complex) - cf.matrices(np.asarray([lam]))[0]
+        components, residual = _nudged_inverse_iteration(a, v)
+        assert np.array_equal(mv.components, components)
+        assert mv.residual == residual
+
+
+def test_batched_null_vectors_gate_each_lambda(triangle_345):
+    lams = _short_tri345_zeros(triangle_345)[:3]
+    out = null_vectors(triangle_345, [lams[0], 105.0 - 5.0j, lams[2]],
+                       residual_threshold=1e-4)
+    assert isinstance(out[1], NoConvergence) and "exceeds" in str(out[1])
+    assert [mv.lam for mv in (out[0], out[2])] == [lams[0], lams[2]]
+    assert null_vectors(triangle_345, []) == []
+
+
+def test_batched_null_vectors_fall_back_per_matrix(triangle_345, monkeypatch):
+    import coneres.monodromy as monodromy
+
+    lams = _short_tri345_zeros(triangle_345)[:5]
+    want = null_vectors(triangle_345, lams, residual_threshold=1e-4)
+    solve = np.linalg.solve
+
+    def no_stacks(a, b):
+        if a.ndim > 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(monodromy.np.linalg, "solve", no_stacks)
+    got = null_vectors(triangle_345, lams, residual_threshold=1e-4)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.components, w.components)
+        assert g.residual == w.residual
 
 
 def test_singular_derivative_solve_is_bounded(two_cone, monkeypatch):

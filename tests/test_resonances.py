@@ -9,8 +9,10 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      polyline_path, refine_root, scan_strip, winding_number,
                      with_overrides)
 from coneres.asymptotics import log_band_path
-from coneres.resonances import (_SPLIT_FRACTIONS, _count_zeros, _guarded_split,
-                                _refine_roots, _split_boxes, _split_line_clear)
+from coneres import resonances
+from coneres.resonances import (_SPLIT_FRACTIONS, TWO_PI, _count_zeros,
+                                _guarded_split, _refine_roots, _split_boxes,
+                                _split_line_clear, _values, _winding_numbers)
 
 
 def poly_handle(*zeros):
@@ -54,6 +56,131 @@ class Counted:
         return self.f.values_and_derivs(lam)
 
 
+class Recorded:
+    """A zero finder's f that keeps a copy of every values batch."""
+
+    def __init__(self, f):
+        self.f, self.batches = f, []
+
+    def values(self, lam):
+        self.batches.append(np.array(lam, copy=True))
+        return self.f.values(lam)
+
+
+def reference_walk_group(f, path, first, grids, tol):
+    """resonances._walk_group as a full recompute: every round re-tests every
+    sample of every live contour and inserts the midpoints into full-length
+    arrays.  The step walk must reproduce its windings, its exceptions and
+    its values batches."""
+    n = len(grids)
+    out = [None] * n
+    ids = first + np.arange(n)
+    span = np.array([g[-1] for g in grids])
+    t = np.concatenate(grids)
+    order = np.arange(n)
+    counts = np.array([g.size for g in grids])
+    vals = _values(f, path(t, np.repeat(ids, counts)))
+    ends = np.cumsum(counts)
+    vals[ends - 1] = vals[ends - counts]
+    walking = np.ones(n, dtype=bool)
+
+    def stop(hit, message):
+        for c in np.unique(hit[walking[hit]]):
+            out[c] = ZeroNearBoundary(message)
+        walking[hit] = False
+
+    def underflow(v, owners):
+        return owners[(np.abs(v) < tol.value_floor) | ~np.isfinite(v)]
+
+    stop(underflow(vals, np.repeat(order, counts)),
+         "contour value underflow: zero on the path?")
+    for _ in range(tol.winding_max_rounds):
+        kept = walking[order]
+        if not kept.all():
+            keep = np.repeat(kept, counts)
+            t, vals = t[keep], vals[keep]
+            order, counts = order[kept], counts[kept]
+            if order.size == 0:
+                return out
+        ends = np.cumsum(counts)
+        dphi = np.angle(vals[1:] / vals[:-1])
+        mag = np.abs(vals)
+        ratio = mag[1:] / mag[:-1]
+        suspicious = ((np.abs(dphi) >= tol.winding_max_phase_step)
+                      | (ratio >= tol.winding_max_mag_step)
+                      | (ratio <= 1.0 / tol.winding_max_mag_step))
+        suspicious[ends[:-1] - 1] = False
+        bad = np.flatnonzero(suspicious)
+        slot = np.searchsorted(ends, bad, side="right")
+        nbad = np.bincount(slot, minlength=order.size)
+        for j in np.flatnonzero(nbad == 0):
+            w = float(dphi[ends[j] - counts[j]:ends[j] - 1].sum()) / TWO_PI
+            if abs(w - round(w)) > tol.winding_reject_frac:
+                out[order[j]] = ZeroNearBoundary(
+                    f"winding {w:.4f} too far from an integer; phase tracking "
+                    "is unreliable on this contour")
+            else:
+                out[order[j]] = int(round(w))
+        walking[order[nbad == 0]] = False
+        stop(order[counts + nbad > tol.winding_max_points],
+             "contour refinement exceeded point budget")
+        sampled = walking[order[slot]]
+        bad, slot = bad[sampled], slot[sampled]
+        tm = 0.5 * (t[bad] + t[bad + 1])
+        owner = order[slot]
+        stop(owner[tm - t[bad] < 1e-13 * span[owner]],
+             "contour refinement below resolution floor")
+        sampled = walking[owner]
+        bad, slot, tm, owner = bad[sampled], slot[sampled], tm[sampled], owner[sampled]
+        if bad.size:
+            vm = _values(f, path(tm, ids[owner]))
+            stop(underflow(vm, owner), "contour value underflow: zero on the path?")
+            t = np.insert(t, bad + 1, tm)
+            vals = np.insert(vals, bad + 1, vm)
+            counts = counts + np.bincount(slot, minlength=order.size)
+    stop(np.flatnonzero(walking), "phase continuation did not settle")
+    return out
+
+
+# the boxes of the lock-step test: every way a walk can end
+CASE_ZEROS = ((-1e-15 + 0j, 1.3 - 0.2j, 3.4 + 0.3j, 5.6 - 0.1j, 5.8 + 0.2j,
+               7.0 + 0j) + (9.5 + 0j,) * 32)
+CASE_BOXES = [Box(0, 1, -0.5, 0.5),      # zero 1e-15 off the left wall: floor
+              Box(3, 4, -0.5, 0.5),      # one zero
+              Box(5, 6.5, -0.5, 0.5),    # two zeros
+              Box(6.5, 7.0, -0.5, 0.5),  # right wall through a zero: underflow
+              Box(9, 10, -0.5, 0.5),     # 32-fold zero: over the point budget
+              Box(11, 12, -0.5, 0.5),    # no zero, one refinement round
+              Box(1.0, 1.6, -0.5, 0.1)]  # one zero
+
+
+def seeded_boxes(seed, nzeros, nboxes):
+    """nzeros random zeros in [0, 10] x [-1, 1] and nboxes random boxes there."""
+    rng = np.random.default_rng(seed)
+    zeros = rng.uniform(0, 10, nzeros) + 1j * rng.uniform(-1, 1, nzeros)
+    lo = np.column_stack((rng.uniform(0, 9, nboxes), rng.uniform(-1, 0.5, nboxes)))
+    size = rng.uniform(0.05, 1.0, (nboxes, 2))
+    return zeros, [Box(x, x + w, y, y + h) for (x, y), (w, h) in zip(lo, size)]
+
+
+def assert_same_walks(monkeypatch, walk, f, *args):
+    """walk(f, *args) of the step walk and of the reference give the same
+    windings, the same exception messages and the same values batches."""
+    results, batches = [], []
+    for group in (resonances._walk_group, reference_walk_group):
+        monkeypatch.setattr(resonances, "_walk_group", group)
+        recorded = Recorded(f)
+        results.append(walk(recorded, *args))
+        batches.append(recorded.batches)
+    got, want = results
+    assert [type(g) for g in got] == [type(w) for w in want]
+    assert [str(g) for g in got] == [str(w) for w in want]
+    assert len(batches[0]) == len(batches[1])
+    for a, b in zip(*batches):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got, batches[0]
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
 
@@ -87,15 +214,7 @@ def test_count_zeros_conjugate_pair():
 
 
 def test_lockstep_walk_matches_count_zeros_box_by_box():
-    zeros = ((-1e-15 + 0j, 1.3 - 0.2j, 3.4 + 0.3j, 5.6 - 0.1j, 5.8 + 0.2j,
-              7.0 + 0j) + (9.5 + 0j,) * 32)
-    boxes = [Box(0, 1, -0.5, 0.5),      # zero 1e-15 off the left wall: floor
-             Box(3, 4, -0.5, 0.5),      # one zero
-             Box(5, 6.5, -0.5, 0.5),    # two zeros
-             Box(6.5, 7.0, -0.5, 0.5),  # right wall through a zero: underflow
-             Box(9, 10, -0.5, 0.5),     # 32-fold zero: over the point budget
-             Box(11, 12, -0.5, 0.5),    # no zero, one refinement round
-             Box(1.0, 1.6, -0.5, 0.1)]  # one zero
+    zeros, boxes = CASE_ZEROS, CASE_BOXES
     tol = with_overrides({"winding_max_points": 150})
     lockstep = Counted(poly_handle(*zeros))
     got = _count_zeros(lockstep, boxes, tol)
@@ -117,6 +236,52 @@ def test_lockstep_walk_matches_count_zeros_box_by_box():
     # walks ran in lock-step, in fewer values calls
     assert lockstep.points == alone.points == 601
     assert lockstep.calls < alone.calls
+
+
+@pytest.mark.parametrize("overrides", [{"winding_max_points": 150}, {}])
+def test_step_walk_matches_full_recompute_on_every_way_a_walk_ends(
+        monkeypatch, overrides):
+    tol = with_overrides(overrides)
+    got, batches = assert_same_walks(monkeypatch, _count_zeros,
+                                     poly_handle(*CASE_ZEROS), CASE_BOXES, tol)
+    # without the budget the 32-fold zero is counted
+    assert [g for g in got if type(g) is int] == ([1, 2, 0, 1] if overrides
+                                                  else [1, 2, 32, 0, 1])
+    assert sum(b.size for b in batches) == (601 if overrides else 667)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_walk_matches_full_recompute_on_seeded_polynomials(monkeypatch, seed):
+    # 150 random boxes make three lock-step groups of up to 63 contours
+    zeros, boxes = seeded_boxes(seed, 40, 150)
+    got, batches = assert_same_walks(monkeypatch, _count_zeros,
+                                     poly_handle(*zeros), boxes, DEFAULT)
+    assert all(type(g) is int for g in got) and sum(got) > 50
+    assert len(batches) > 10
+
+
+def test_step_walk_matches_full_recompute_when_rounds_run_out(monkeypatch):
+    zeros, boxes = seeded_boxes(3, 40, 60)
+    tol = with_overrides({"winding_max_rounds": 2})
+    got, _ = assert_same_walks(monkeypatch, _count_zeros, poly_handle(*zeros),
+                               boxes, tol)
+    assert "phase continuation did not settle" in map(str, got)
+
+
+def test_step_walk_matches_full_recompute_on_long_contours(monkeypatch):
+    # contours longer than MAX_BATCH_POINTS walk alone, next to short ones
+    zeros = (5.13 - 0.8j, 7.02 - 1.2j, complex(6.0, -0.8 * math.log(6.0) + 0.01),
+             4.5 - 0.1j)
+    band, _ = log_band_path(4.0, 8.0, 0.3, 0.8)
+    square = polyline_path(Box(4.0, 5.0, -0.5, 0.5).corners())[0]
+
+    def path(t, owner):
+        return np.where(owner % 2 == 0, band(t), square(t))
+
+    grids = [np.linspace(0.0, 4.0, c) for c in (5001, 65, 3000, 17, 2000)]
+    got, _ = assert_same_walks(monkeypatch, _winding_numbers,
+                               poly_handle(*zeros), path, grids, DEFAULT)
+    assert got == [3, 1, 3, 1, 3]
 
 
 def test_winding_number_walks_a_log_band():
@@ -418,10 +583,10 @@ def test_scan_null_vector_failures(two_cone, monkeypatch):
 
     region = SearchRegion(100.0, 103.0, 0.30, 0.37)
 
-    def too_large(*args, **kwargs):
-        raise NoConvergence("residual too large")
+    def too_large(spec, lams, *args, **kwargs):
+        return [NoConvergence("residual too large") for _ in lams]
 
-    monkeypatch.setattr(monodromy, "null_vector", too_large)
+    monkeypatch.setattr(monodromy, "null_vectors", too_large)
     rs = scan_strip(two_cone, region, with_null_vectors=True)
     assert len(rs.items) == 3
     assert all(r.null_mass is None for r in rs.items)
@@ -429,7 +594,7 @@ def test_scan_null_vector_failures(two_cone, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setattr(monodromy, "null_vector", broken)
+    monkeypatch.setattr(monodromy, "null_vectors", broken)
     with pytest.raises(RuntimeError, match="unexpected"):
         scan_strip(two_cone, region, with_null_vectors=True)
 

@@ -27,8 +27,6 @@ def parse_args(argv):
     p.add_argument("--nu-max", type=float, default=0.42)
     p.add_argument("--length", type=float, default=math.pi,
                    help="edge length of the two-cone surface")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: scans run in one process")
     p.add_argument("--csv", type=str, default=None,
                    help="write re,im,residual,winding rows here")
     return p.parse_args(argv)
@@ -41,7 +39,7 @@ def main(argv=None):
     region = SearchRegion(args.re_min, args.re_max, args.nu_min, args.nu_max)
 
     t0 = time.perf_counter()
-    result = scan_strip(spec, region, jobs=args.jobs)
+    result = scan_strip(spec, region)
     elapsed = time.perf_counter() - t0
     lams = result.lambdas()
     print(f"found {len(result.items)} zeros in {elapsed:.2f}s "

@@ -287,8 +287,15 @@ def _cmd_statphase(args, tol: tol_mod.Tolerances) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1 with one error: line."""
+
+    def error(self, message):
+        sys.exit(_fail(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="coneres",
         description="resonances of cone surfaces via the edge-transfer model",
     )
@@ -327,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("statphase-check",
                         help="empirical order checks for the expansion")
     st.add_argument("--order", type=int, default=None,
+                    choices=sorted({order for _, order, _ in _BATTERY}),
                     help="restrict the battery to one expansion order")
     st.set_defaults(func=_cmd_statphase)
     return p

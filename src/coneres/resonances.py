@@ -212,8 +212,11 @@ def winding_number(f, path_fn, nseg: int,
 
     Sampling is refined until every consecutive phase increment is below
     tol.winding_max_phase_step.  Raises ZeroNearBoundary when refinement
-    stalls (a zero on or hugging the contour) or the winding fails to come
-    out near an integer.
+    stalls (a zero on or hugging the contour): a sample underflows
+    tol.value_floor, the walk exceeds tol.winding_max_points, or a step
+    falls below 1e-13 of the path's parameter span, which a step still
+    suspicious after 44 rounds always does.  It also raises when the
+    winding comes out more than 0.1 from an integer.
 
     per_segment sets the initial sample count of the path segments: one
     int for every segment (default tol.winding_initial_per_segment), or a
@@ -293,27 +296,32 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
                 tol: tol_mod.Tolerances) -> list:
     """_winding_numbers of contours first, first + 1, ... in one lock-step walk.
 
-    Round 0 evaluates every grid and takes the phase increment and the
-    |f| ratio of every step between consecutive samples.  The increments
-    of the steps that pass go into a running total per contour; only the
-    suspicious steps are kept, as (t0, t1, f0, f1, owner) arrays in
-    contour-then-t order.  Each later round splits every kept step of a
-    walking contour at its midpoint, evaluates the midpoints in one call
-    and tests the two half-steps alone, so round 0 costs a pass over the
-    grids and a later round costs the split steps only; settled samples
-    are never touched again.  A contour settles once it has no suspicious
-    step, and leaves the walk when it settles or fails.
+    The walk holds steps (t0, t1, f0, f1, owner) in contour-then-t order,
+    and one loop body runs every round.  It takes the phase increment and
+    the |f| ratio of every step: the increments of the steps that pass go
+    into a running total per contour, and only the suspicious steps are
+    kept.  A contour settles once it has no suspicious step, and leaves
+    the walk when it settles or fails.  The round then splits every kept
+    step of a walking contour at its midpoint and evaluates the midpoints
+    in one call; the two halves are the next round's steps.  Round 0's
+    steps are views of the evaluated initial grids, where the ``seams``
+    (the steps from one contour to the next) count for nothing, so round 0
+    costs a pass over the grids and a later round the split steps only;
+    settled samples are never touched again.  Every initial step is at
+    most 1 in t and the grids end at t = nseg >= 1, so a step kept through
+    44 rounds is below the 1e-13 * span resolution floor: the loop ends.
     """
     n = len(grids)
     out: list = [None] * n
     ids = first + np.arange(n)
     span = np.array([g[-1] for g in grids])
     counts = np.array([g.size for g in grids])
-    t = np.concatenate(grids)
-    vals = _values(f, path(t, np.repeat(ids, counts)))
+    t0 = np.concatenate(grids)
+    f0 = _values(f, path(t0, np.repeat(ids, counts)))
+    owner = np.repeat(np.arange(n), counts)
     # force exact closure so the increments telescope to a clean multiple
     ends = np.cumsum(counts)
-    vals[ends - 1] = vals[ends - counts]
+    f0[ends - 1] = f0[ends - counts]
     walking = np.ones(n, dtype=bool)
     total = np.zeros(n)
 
@@ -328,41 +336,30 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
     def underflow(v: np.ndarray, owners: np.ndarray) -> np.ndarray:
         return owners[(np.abs(v) < tol.value_floor) | ~np.isfinite(v)]
 
-    def increments(f0: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Phase increment of every step f0 -> f1, and whether it is suspicious."""
+    stop(underflow(f0, owner), "contour value underflow: zero on the path?")
+    if not walking.all():
+        t0, f0, owner = _kept((t0, f0, owner), walking[owner])
+    seams = np.cumsum(counts[walking])[:-1] - 1
+    steps = (t0[:-1], t0[1:], f0[:-1], f0[1:], owner[:-1])
+    while True:
+        t0, t1, f0, f1, owner = steps
         dphi = np.angle(f1 / f0)
         # a sharp magnitude dip between samples can hide an aliased full
         # turn (zero pair hugging the path), so refine on |f| jumps too
         ratio = np.abs(f1) / np.abs(f0)
-        return dphi, ((np.abs(dphi) >= tol.winding_max_phase_step)
+        suspicious = ((np.abs(dphi) >= tol.winding_max_phase_step)
                       | (ratio >= tol.winding_max_mag_step)
                       | (ratio <= 1.0 / tol.winding_max_mag_step))
-
-    stop(underflow(vals, np.repeat(np.arange(n), counts)),
-         "contour value underflow: zero on the path?")
-    order = np.flatnonzero(walking)
-    if order.size == 0:
-        return out
-    if order.size < n:
-        keep = np.repeat(walking, counts)
-        t, vals = t[keep], vals[keep]
-    ends = np.cumsum(counts[order])
-    dphi, suspicious = increments(vals[:-1], vals[1:])
-    seams = ends[:-1] - 1   # the steps from one contour to the next
-    suspicious[seams] = False
-    bad = np.flatnonzero(suspicious)
-    dphi[bad] = 0.0
-    dphi[seams] = 0.0
-    total[order] = np.add.reduceat(dphi, ends - counts[order])
-    # the suspicious steps (t0, t1, f0, f1) of each walking contour owner
-    steps = (t[bad], t[bad + 1], vals[bad], vals[bad + 1],
-             order[np.searchsorted(ends, bad, side="right")])
-    del t, vals, dphi, suspicious   # later rounds touch the kept steps only
-    for _ in range(tol.winding_max_rounds):
+        suspicious[seams] = False
+        dphi[suspicious] = 0.0
+        dphi[seams] = 0.0
+        total += np.bincount(owner, weights=dphi, minlength=n)
+        steps = _kept(steps, suspicious)
+        seams = seams[:0]   # only round 0's steps join two contours
         nbad = np.bincount(steps[4], minlength=n)
         for j in np.flatnonzero(walking & (nbad == 0)):
             w = float(total[j]) / TWO_PI
-            if abs(w - round(w)) > tol.winding_reject_frac:
+            if abs(w - round(w)) > 0.1:
                 out[j] = ZeroNearBoundary(
                     f"winding {w:.4f} too far from an integer; phase tracking "
                     "is unreliable on this contour"
@@ -386,14 +383,8 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
         t0, t1, f0, f1, owner, tm, fm = _kept((t0, t1, f0, f1, owner, tm, fm),
                                               walking[owner])
         # the two halves of every split step, still in contour-then-t order
-        halves = (_interleave(t0, tm), _interleave(tm, t1),
-                  _interleave(f0, fm), _interleave(fm, f1), np.repeat(owner, 2))
-        dphi, suspicious = increments(halves[2], halves[3])
-        passed = ~suspicious
-        total += np.bincount(halves[4][passed], weights=dphi[passed], minlength=n)
-        steps = _kept(halves, suspicious)
-    stop(np.flatnonzero(walking), "phase continuation did not settle")
-    return out
+        steps = (_interleave(t0, tm), _interleave(tm, t1),
+                 _interleave(f0, fm), _interleave(fm, f1), np.repeat(owner, 2))
 
 
 def _kept(arrays: tuple, keep: np.ndarray) -> tuple:
@@ -470,20 +461,15 @@ def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
 _SPLIT_FRACTIONS = (0.5, 0.57, 0.43, 0.65, 0.35)
 
 
-def _split_line_clear(f, box: Box, axis: int, frac: float,
-                      tol: tol_mod.Tolerances) -> bool:
-    """Probe a candidate split line for zeros hugging it.
+def _lines_clear(f, lines: list[tuple[Box, int, float]],
+                 tol: tol_mod.Tolerances) -> np.ndarray:
+    """Whether each candidate split line (box, axis, frac) is clear of
+    zeros hugging it, probed for all lines in one values call.
 
     A zero within a small fraction of the box scale of the line shows up
     as a deep dip of |f| along it; phase tracking on the two halves can
     alias a full turn there, so such lines are rejected up front.
     """
-    return bool(_lines_clear(f, [(box, axis, frac)], tol)[0])
-
-
-def _lines_clear(f, lines: list[tuple[Box, int, float]],
-                 tol: tol_mod.Tolerances) -> np.ndarray:
-    """_split_line_clear of every (box, axis, frac) line, in one values call."""
     m = tol.split_line_samples
     across = np.array([axis == 0 for _, axis, _ in lines], dtype=bool)
     cut = np.array([b.re_lo + frac * b.width if axis == 0 else
@@ -499,13 +485,9 @@ def _lines_clear(f, lines: list[tuple[Box, int, float]],
     return sound & (v.min(axis=1) > tol.split_dip_rel_floor * np.median(v, axis=1))
 
 
-def _guarded_split(f, box: Box, w: int,
-                   tol: tol_mod.Tolerances) -> tuple[tuple[Box, int], tuple[Box, int]]:
-    return _checked(_split_boxes(f, [(box, w)], tol))[0]
-
-
 def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances) -> list:
-    """_guarded_split of every (box, winding) item, in lock-step passes.
+    """Split every (box, winding) item in two along a clear line, in
+    lock-step passes; the halves' windings must add up to the box's.
 
     Each pass probes the current split line of every unsplit box in one
     values call and walks the halves of every clear line in one lock-step

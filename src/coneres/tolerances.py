@@ -28,9 +28,7 @@ class Tolerances:
     # --- winding walks -------------------------------------------------
     winding_max_phase_step: float = math.pi / 2   # refine until |dphi| below this
     winding_max_mag_step: float = 3.0             # ... and |f| ratios below this
-    winding_reject_frac: float = 0.1              # reject winding if fractional part exceeds
     winding_initial_per_segment: int = 16
-    winding_max_rounds: int = 60
     winding_max_points: int = 400_000
     value_floor: float = 1e-280                   # |f| below this on a contour = zero on path
 
@@ -77,7 +75,6 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
 _FLOAT_RANGES = {
     "winding_max_phase_step": (lambda v: 0.0 < v <= math.pi, "in (0, pi]"),
     "winding_max_mag_step": (lambda v: v > 1.0, "above 1"),
-    "winding_reject_frac": (lambda v: 0.0 < v < 0.5, "in (0, 0.5)"),
     "split_dip_rel_floor": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
 }
 _POSITIVE = (lambda v: v > 0.0, "positive")
@@ -86,13 +83,15 @@ _POSITIVE = (lambda v: v > 0.0, "positive")
 def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
     """Return ``base`` with the given fields replaced.
 
-    Unknown keys raise KeyError.  A value must be a number, and an int for
-    an int field; bools and strings raise TypeError.  Int fields count
-    samples, points, rounds or retries, so a value below 1 raises
-    ValueError.  So does a float field that is not finite or lies outside
-    its range: ``winding_max_phase_step`` in (0, pi],
-    ``winding_max_mag_step`` above 1, ``winding_reject_frac`` in (0, 0.5),
-    ``split_dip_rel_floor`` in (0, 1), every other float field positive.
+    Unknown keys raise KeyError; they include the former fields
+    ``winding_max_rounds`` and ``winding_reject_frac``, which could not
+    bind.  A value must be a number, and an int for an int field; bools
+    and strings raise TypeError.  Int fields count samples, points,
+    iterations or retries, so a value below 1 raises ValueError.  So does
+    a float field that is not finite or lies outside its range:
+    ``winding_max_phase_step`` in (0, pi], ``winding_max_mag_step`` above
+    1, ``split_dip_rel_floor`` in (0, 1), every other float field
+    positive.
     A step or ratio bound outside its range makes every walk refine until
     it fails, or switches its guard off.
     """

@@ -200,15 +200,19 @@ def test_tolerance_override_boundary_guard_reaches_scan(tmp_path):
 
 
 def test_tolerance_override_removed_field_rejected(tmp_path):
-    # the cotangent guard is a fixed constant, not a tolerance field
+    # the cotangent guard is a fixed constant, not a tolerance field; the
+    # walk's round cap and winding rejection fraction could never bind
     cfg = tmp_path / "tol.yaml"
-    cfg.write_text("cot_singularity_guard: 10.0\n")
-    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
-                "--re", "100", "103", "--nu", "0.05", "0.35", "--jobs", "1",
-                env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
-    assert r.returncode == 1
-    assert r.stderr.startswith("error: bad tolerance override:")
-    assert len(r.stderr.splitlines()) == 1
+    for text in ("cot_singularity_guard: 10.0\n", "winding_max_rounds: 60\n",
+                 "winding_reject_frac: 0.1\n"):
+        cfg.write_text(text)
+        r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                    "--re", "100", "103", "--nu", "0.05", "0.35", "--jobs", "1",
+                    env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+        assert r.returncode == 1, text
+        assert r.stderr.startswith("error: bad tolerance override:"), text
+        assert text.split(":")[0] in r.stderr
+        assert len(r.stderr.splitlines()) == 1, text
 
 
 @pytest.mark.parametrize("content", [None, ": : :\n", "- 1\n- 2\n",
@@ -302,4 +306,24 @@ def test_statphase_check_first_order():
 
 def test_no_command_shows_usage():
     r = run_cli()
-    assert r.returncode != 0
+    assert r.returncode == 1
+    assert r.stderr == "error: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    # exit 2 is a failed check, so a usage error must not look like one
+    (("scan", "--polygon", "0,0 3,0 0,4", "--re", "100"),
+     "error: argument --re: expected 2 arguments"),
+    (("scan", "--polygon", "0,0 3,0 0,4", "--nu", "0.05", "0.35"),
+     "error: the following arguments are required: --re"),
+    # the battery has orders 1 and 2: --order 3 used to check nothing,
+    # print nothing and exit 0
+    (("statphase-check", "--order", "3"),
+     "error: argument --order: invalid choice: 3"),
+])
+def test_usage_error_is_one_line_with_exit_1(args, message):
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert r.stderr.startswith(message)
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""

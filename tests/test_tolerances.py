@@ -35,7 +35,8 @@ def test_no_default_record_outside_tolerances_module():
     assert not offenders, offenders
 
 
-@pytest.mark.parametrize("key", ["cot_singularity_guard", "geometric_guard"])
+@pytest.mark.parametrize("key", ["cot_singularity_guard", "geometric_guard",
+                                 "winding_max_rounds", "winding_reject_frac"])
 def test_removed_fields_are_unknown_override_keys(key):
     with pytest.raises(KeyError):
         with_overrides({key: 1.0})
@@ -83,11 +84,9 @@ def test_float_override_must_be_finite(key, value):
     # the guard can never fire
     ("split_dip_rel_floor", -1, "in (0, 1)"),
     ("split_dip_rel_floor", 1.0, "in (0, 1)"),
-    ("winding_reject_frac", 0.5, "in (0, 0.5)"),
-    ("winding_reject_frac", 0.0, "in (0, 0.5)"),
 ] + [(key, value, "positive") for key in FLOAT_FIELDS
      if key not in ("winding_max_phase_step", "winding_max_mag_step",
-                    "split_dip_rel_floor", "winding_reject_frac")
+                    "split_dip_rel_floor")
      for value in (0, -1e-9)])
 def test_float_override_out_of_range_names_the_field(key, value, wording):
     with pytest.raises(ValueError,
@@ -98,7 +97,6 @@ def test_float_override_out_of_range_names_the_field(key, value, wording):
 def test_float_overrides_at_the_edge_of_their_range_apply():
     tol = with_overrides({"winding_max_phase_step": math.pi,
                           "winding_max_mag_step": 1.01,
-                          "winding_reject_frac": 0.49,
                           "split_dip_rel_floor": 0.99, "value_floor": 1e-300})
     assert tol.winding_max_phase_step == math.pi
     assert with_overrides({}) == Tolerances()

@@ -382,51 +382,42 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     with any object having ``values``, as in ``scan_strip``; a fresh
     ``CharFunction(spec)`` counts the points of this report alone.
 
-    Each band is walked as one contour, so its initial grid, about
-    ``2 (re_hi - re_lo) L0 8/pi`` samples, must fit in
-    tol.winding_max_points.  A longer window raises ValueError before
-    any evaluation; the message gives the grid size and the longest
-    window whose grid fits (15,706 units of Re from Re 100 on the 3-4-5
-    double at the default tolerances, of which 15,650 walk within the
-    budget).
+    A band whose initial grid (about ``2 (re_hi - re_lo) L0 8/pi``
+    samples) passes half of tol.winding_max_points is cut along Re into
+    the fewest equal pieces whose grids take about that half each, which
+    leaves the other half to refinement.  Each piece is walked as its own
+    band contour, and the windings add, since neighbouring pieces run
+    their shared edge in opposite directions.  Cost grows with the
+    window, as a scan's does.
+
+    Raises ValueError, before any evaluation, unless 1 < re_lo < re_hi,
+    delta > 0 and im_offset are finite.
     """
+    re_lo, re_hi = float(re_window[0]), float(re_window[1])
+    if not (1.0 < re_lo < re_hi < math.inf and 0.0 < delta < math.inf
+            and math.isfinite(im_offset)):
+        raise ValueError(
+            f"gap_report needs finite 1 < re_lo < re_hi, delta > 0 and "
+            f"im_offset, got Re [{re_lo:g}, {re_hi:g}], delta = {delta:g} "
+            f"and im_offset = {im_offset:g}")
     scales = length_scales(spec, tol)
     nu0 = 1 / (2.0 * scales.L0)
     f = char_function(spec) if char_fn is None else char_fn
-    re_lo, re_hi = float(re_window[0]), float(re_window[1])
+
+    def winding(lo: float, hi: float, offset: float) -> int:
+        """Winding of the band nu in [lo, hi], summed over its Re pieces."""
+        size = 1 + sum(_band_counts(re_lo, re_hi, lo, hi, scales.L0, tol))
+        pieces = 1 + (size - 1) // (tol.winding_max_points // 2)
+        cuts = np.linspace(re_lo, re_hi, pieces + 1).tolist()
+        return sum(
+            winding_number(f, *log_band_path(a, b, lo, hi, offset), tol,
+                           per_segment=_band_counts(a, b, lo, hi, scales.L0, tol))
+            for a, b in zip(cuts[:-1], cuts[1:]))
+
     gap_lo, gap_hi = nu0 + delta, scales.Lambda - delta
     empty = gap_lo >= gap_hi
-    bands = ([] if empty else [(gap_lo, gap_hi, 0.0)]) + [
-        (max(nu0 - delta, 0.0), nu0 + delta, im_offset)]
-    paths = [log_band_path(re_lo, re_hi, lo, hi, offset)
-             for lo, hi, offset in bands]
-
-    def grid_size(width: float) -> int:
-        """Initial samples of the larger band over Re [re_lo, re_lo + width]."""
-        return 1 + max(sum(_band_counts(re_lo, re_lo + width, lo, hi,
-                                        scales.L0, tol)) for lo, hi, _ in bands)
-
-    size = grid_size(re_hi - re_lo)
-    if size > tol.winding_max_points:
-        fits, over = 0.0, re_hi - re_lo
-        for _ in range(60):
-            mid = 0.5 * (fits + over)
-            if grid_size(mid) <= tol.winding_max_points:
-                fits = mid
-            else:
-                over = mid
-        raise ValueError(
-            f"gap_report window Re [{re_lo:g}, {re_hi:g}] needs {size:,} "
-            f"initial samples on one band contour, over "
-            f"tol.winding_max_points = {tol.winding_max_points:,}; the "
-            f"longest window from Re {re_lo:g} whose grid fits is "
-            f"{math.floor(10.0 * fits) / 10.0:,} long, and refinement needs "
-            f"room below that"
-        )
-    windings = [winding_number(f, path, nseg, tol, per_segment=_band_counts(
-                    re_lo, re_hi, lo, hi, scales.L0, tol))
-                for (path, nseg), (lo, hi, _) in zip(paths, bands)]
-    gap_w, string_w = ([0] if empty else []) + windings
+    gap_w = 0 if empty else winding(gap_lo, gap_hi, 0.0)
+    string_w = winding(max(nu0 - delta, 0.0), nu0 + delta, im_offset)
 
     eps_prime: float | None
     t1 = 1.5 - 2.0 * scales.L0 * (scales.Lambda - delta)

@@ -115,6 +115,54 @@ def _surface_summary(spec) -> dict:
     }
 
 
+def _write_outputs(out: str, spec, scales, region: SearchRegion, seed,
+                   model: LadderModel | None, rs: ResonanceSet, fit,
+                   verification) -> None:
+    """Write the four scan files into the directory ``out``."""
+    os.makedirs(out, exist_ok=True)
+    _write_resonances_csv(os.path.join(out, "resonances.csv"), rs)
+    _write_plot_csv(os.path.join(out, "plot_data.csv"),
+                    emit_plot_data(rs, model))
+    report = {
+        "surface": _surface_summary(spec),
+        "scales": {"L0": scales.L0, "Lprime": scales.Lprime,
+                   "Lambda": scales.Lambda,
+                   "maximal_edges": sorted(scales.maximal_edges)},
+        "region": {"re_min": region.re_min, "re_max": region.re_max,
+                   "nu_min": region.nu_min, "nu_max": region.nu_max},
+        "seed": seed,
+        "model": None if model is None else {
+            "n": 2, "L0": model.L0,
+            "c_prod_re": model.c_prod.real,
+            "c_prod_im": model.c_prod.imag,
+            "spacing": model.spacing, "slope": model.slope,
+            "c_re": model.c_re, "c_im": model.c_im,
+        },
+        "audit": {"total_winding": rs.total_winding_audited,
+                  "resonance_count": len(rs.items)},
+        "resonances": [
+            {"re": r.lam.real, "im": r.lam.imag,
+             "residual": r.residual, "winding": r.winding, "nu": r.nu,
+             "null_mass": None if r.null_mass is None
+             else {k: v for k, v in r.null_mass}}
+            for r in rs.items
+        ],
+        "fit": None if fit is None else fit.to_dict(),
+        "verification": None if verification is None
+        else verification.to_dict(),
+    }
+    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(os.path.join(out, "fit_summary.txt"), "w", encoding="utf-8") as fh:
+        if fit is not None:
+            fh.write(fit.to_text() + "\n")
+        else:
+            fh.write("no fit: insufficient points or no ladder model\n")
+        if verification is not None:
+            fh.write(verification.to_text() + "\n")
+
+
 def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
     try:
         spec = _load_spec(args)
@@ -164,50 +212,11 @@ def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
             pass
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_resonances_csv(os.path.join(args.out, "resonances.csv"), rs)
-        _write_plot_csv(os.path.join(args.out, "plot_data.csv"),
-                        emit_plot_data(rs, model))
-        report = {
-            "surface": _surface_summary(spec),
-            "scales": {"L0": scales.L0, "Lprime": scales.Lprime,
-                       "Lambda": scales.Lambda,
-                       "maximal_edges": sorted(scales.maximal_edges)},
-            "region": {"re_min": region.re_min, "re_max": region.re_max,
-                       "nu_min": region.nu_min, "nu_max": region.nu_max},
-            "seed": args.seed,
-            "model": None if model is None else {
-                "n": 2, "L0": model.L0,
-                "c_prod_re": model.c_prod.real,
-                "c_prod_im": model.c_prod.imag,
-                "spacing": model.spacing, "slope": model.slope,
-                "c_re": model.c_re, "c_im": model.c_im,
-            },
-            "audit": {"total_winding": rs.total_winding_audited,
-                      "resonance_count": len(rs.items)},
-            "resonances": [
-                {"re": r.lam.real, "im": r.lam.imag,
-                 "residual": r.residual, "winding": r.winding, "nu": r.nu,
-                 "null_mass": None if r.null_mass is None
-                 else {k: v for k, v in r.null_mass}}
-                for r in rs.items
-            ],
-            "fit": None if fit is None else fit.to_dict(),
-            "verification": None if verification is None
-            else verification.to_dict(),
-        }
-        with open(os.path.join(args.out, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(args.out, "fit_summary.txt"), "w",
-                  encoding="utf-8") as fh:
-            if fit is not None:
-                fh.write(fit.to_text() + "\n")
-            else:
-                fh.write("no fit: insufficient points or no ladder model\n")
-            if verification is not None:
-                fh.write(verification.to_text() + "\n")
+        try:
+            _write_outputs(args.out, spec, scales, region, args.seed, model, rs,
+                           fit, verification)
+        except OSError as exc:
+            return _fail(f"cannot write --out {args.out}: {exc}")
 
     print(f"{len(rs.items)} resonances, audited winding "
           f"{rs.total_winding_audited}, Re in [{region.re_min}, "

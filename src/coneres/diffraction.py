@@ -36,8 +36,9 @@ class DiffractionEvaluator:
     cone_angle: float
 
     def __post_init__(self):
-        if not (self.cone_angle > 0):
-            raise ValueError("cone angle must be positive")
+        if not (0.0 < self.cone_angle < math.inf):
+            raise ValueError(
+                f"cone angle must be finite and positive, got {self.cone_angle!r}")
 
     @property
     def beta(self) -> float:
@@ -57,11 +58,14 @@ def is_geometric(ev: DiffractionEvaluator, dtheta: float,
 def diffraction_coefficient(ev: DiffractionEvaluator, dtheta: float) -> complex:
     """Closed-form coefficient D_A(dtheta); even in dtheta, A-periodic.
 
-    Raises GeometricRaySingularity when either cotangent argument
+    Raises ValueError on a non-finite dtheta, and
+    GeometricRaySingularity when either cotangent argument
     beta*(dtheta -/+ pi)/2 falls within COT_SINGULARITY_GUARD (1e-8) of a
     multiple of pi.  A cone angle of exactly 2*pi is a smooth plane point:
     the two cotangents cancel identically and the value is exactly zero.
     """
+    if not math.isfinite(dtheta):
+        raise ValueError(f"dtheta must be finite, got {dtheta!r}")
     a = ev.cone_angle
     beta = ev.beta
     u_minus = beta * (dtheta - math.pi) / 2.0

@@ -142,15 +142,16 @@ def validate_spec(spec: ConeSurfaceSpec) -> None:
         if p.id in seen_p:
             problems.append(f"duplicate cone point id {p.id!r}")
         seen_p.add(p.id)
-        if not (p.cone_angle > 0):
-            problems.append(f"cone point {p.id!r}: angle must be positive")
+        if not (0.0 < p.cone_angle < math.inf):
+            problems.append(
+                f"cone point {p.id!r}: angle must be finite and positive")
     seen_e = set()
     for e in spec.edges:
         if e.id in seen_e:
             problems.append(f"duplicate edge id {e.id!r}")
         seen_e.add(e.id)
-        if not (e.length > 0):
-            problems.append(f"edge {e.id!r}: length must be positive")
+        if not (0.0 < e.length < math.inf):
+            problems.append(f"edge {e.id!r}: length must be finite and positive")
         for pid in (e.from_point, e.to_point):
             if pid not in seen_p:
                 problems.append(f"edge {e.id!r}: unknown cone point {pid!r}")
@@ -217,6 +218,9 @@ def build_polygon_double(vertices) -> ConeSurfaceSpec:
     m = len(pts)
     if m < 3:
         raise PolygonError("need at least 3 vertices")
+    for i, (x, y) in enumerate(pts):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PolygonError(f"vertex {i} is not finite: ({x!r}, {y!r})")
     scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
     for i in range(m):
         ax, ay = pts[i]

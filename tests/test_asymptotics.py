@@ -252,25 +252,57 @@ def test_gap_report_counts_zeros_near_sparse_edges(two_cone, eps, gap):
     assert rep.gap_winding == gap
 
 
-def test_gap_report_rejects_a_window_longer_than_the_point_budget(triangle_345):
-    # the string band's initial grid over Re [100, 17100] is 432,935 samples,
-    # over winding_max_points: rejected before a single evaluation
-    cf = CharFunction(triangle_345)
-    with pytest.raises(ValueError) as info:
-        gap_report(triangle_345, (100.0, 17100.0), char_fn=cf,
-                   im_offset=ladder_model_from_spec(triangle_345).c_im)
-    assert cf.n_evals == 0
-    message = str(info.value)
-    assert "tol.winding_max_points = 400,000" in message
-    assert "needs 432,935 initial samples" in message
-    assert "longest window from Re 100 whose grid fits is 15,706.6 long" in message
-    # a window one unit longer than that is rejected, a shorter one walks
-    with pytest.raises(ValueError, match="needs 400,0"):
-        gap_report(triangle_345, (100.0, 15807.6), char_fn=cf)
-    assert cf.n_evals == 0
+def test_gap_report_walks_a_long_window_in_pieces(triangle_345):
+    # the string band's grid over Re [100, 17100] is 432,935 samples, over
+    # half of winding_max_points: it is walked as 3 pieces whose windings add
+    m = ladder_model_from_spec(triangle_345)
+    rep, n = _counted_gap_report(triangle_345, (100.0, 17100.0))
+    assert rep.gap_band_empty and rep.gap_winding == 0
+    assert abs(rep.string_winding - len(ladder_in_window(m, 100.0, 17100.0))) <= 1
+    assert rep.string_winding == pytest.approx(rep.string_expected, abs=1)
+    assert n == 433_098
     tol = with_overrides({"winding_max_points": 20_000})
     rep, n = _counted_gap_report(triangle_345, (100.0, 700.0), tol)
     assert rep.string_winding == 955 and n < 20_000
+
+
+@pytest.mark.parametrize("surface, budget, empty, string, points", [
+    ("triangle_345", 4_000, True, 318, 5_272),
+    ("triangle_345", 1_000, True, 318, 5_522),
+    ("two_cone", 4_000, False, 200, 6_692),
+    ("two_cone", 1_000, False, 200, 7_004),
+])
+def test_gap_report_pieces_add_to_the_single_contour(request, surface, budget,
+                                                     empty, string, points):
+    # the windings of the one-contour walk at the default budget (see
+    # test_gap_report_samples_band_edges_by_length); each cut adds an edge
+    spec = request.getfixturevalue(surface)
+    tol = with_overrides({"winding_max_points": budget})
+    rep, n = _counted_gap_report(spec, (100.0, 300.0), tol)
+    assert (rep.gap_band_empty, rep.gap_winding, rep.string_winding) == (
+        empty, 0, string)
+    assert n == points
+
+
+@pytest.mark.parametrize("window, delta, im_offset", [
+    ((100.0, math.inf), 0.02, 0.0),     # used to end in OverflowError
+    ((math.nan, 200.0), 0.02, 0.0),
+    ((1.0, 200.0), 0.02, 0.0),
+    ((200.0, 100.0), 0.02, 0.0),
+    # bands are walked one by one, so the string band's own path check
+    # would catch delta <= 0 only after the gap band's walk
+    ((100.0, 120.0), 0.0, 0.0),
+    ((100.0, 120.0), -0.01, 0.0),
+    ((100.0, 120.0), math.nan, 0.0),
+    ((100.0, 120.0), 0.02, math.nan),   # used to blame a zero on the path
+])
+def test_gap_report_checks_its_inputs_before_evaluating(two_cone, window, delta,
+                                                        im_offset):
+    cf = CharFunction(two_cone)
+    with pytest.raises(ValueError, match="^gap_report needs finite 1 < re_lo"):
+        gap_report(two_cone, window, delta=delta, im_offset=im_offset,
+                   char_fn=cf)
+    assert cf.n_evals == 0
 
 
 def test_gap_report_triangle_band_inverted(triangle_345):

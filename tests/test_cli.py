@@ -150,6 +150,19 @@ def test_scan_numerical_failure_is_one_line(tmp_path):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("out", ["a_file", "a_file/run"])
+def test_scan_unwritable_out_is_one_line(tmp_path, out):
+    # an existing file as --out, or a directory under one: this used to end
+    # in a FileExistsError / NotADirectoryError traceback after the scan
+    (tmp_path / "a_file").write_text("")
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "100", "102", "--nu", "0.05", "0.35",
+                "--out", str(tmp_path / out))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: cannot write --out {tmp_path / out}: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # tolerance overrides
 
@@ -277,6 +290,35 @@ def test_bad_polygon_document_is_one_line(tmp_path, text):
         assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
+def _two_cone_text(first_length="3.141592653589793"):
+    """The two-cone surface document, with its first edge length replaced."""
+    text = serialize_surface(build_two_cone_surface())
+    return text.replace("length: 3.141592653589793", f"length: {first_length}", 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    # an inf angle and two inf lengths used to pass validate, then end scan
+    # in a GeometricRaySingularity / ZeroDivisionError traceback
+    (_two_cone_text().replace("angle: 12.566370614359172", "angle: .inf"),
+     "angle must be finite and positive"),
+    (_two_cone_text().replace("length: 3.141592653589793", "length: .inf"),
+     "length must be finite and positive"),
+    (_two_cone_text(".inf"), "length must be finite and positive"),
+    ("version: 1\npolygon: [[0,0],[3,0],[0,.nan]]\n", "vertex 2 is not finite"),
+    ("version: 1\npolygon: [[0,0],[.inf,0],[0,4]]\n", "vertex 1 is not finite"),
+], ids=["inf-angles", "inf-lengths", "one-inf-length", "nan-vertex",
+        "inf-vertex"])
+def test_non_finite_surface_is_one_line(tmp_path, text, message):
+    spec_file = tmp_path / "surface.yaml"
+    spec_file.write_text(text)
+    for args in (("validate",),
+                 ("scan", "--re", "50", "60", "--nu", "0.1", "0.3")):
+        r = run_cli(*args, "--input", str(spec_file))
+        assert r.returncode == 1, args
+        assert r.stderr.startswith("error:") and message in r.stderr, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+
+
 def test_validate_square_exit_code():
     r = run_cli("validate", "--polygon", "0,0 1,0 1,1 0,1")
     assert r.returncode == 2
@@ -296,6 +338,19 @@ def test_diffraction_singular_direction():
     r = run_cli("diffraction", "--angle", str(3 * 3.141592653589793),
                 "--dtheta", str(3.141592653589793))
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("angle, dtheta, message", [
+    ("12.5", "nan", "dtheta must be finite"),       # printed "nan nan", exit 0
+    ("12.5", "inf", "dtheta must be finite"),
+    ("inf", "1", "cone angle must be finite"),      # blamed a geometric ray
+])
+def test_diffraction_non_finite_input_is_one_line(angle, dtheta, message):
+    r = run_cli("diffraction", "--angle", angle, "--dtheta", dtheta)
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {message}")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
 
 
 def test_statphase_check_first_order():

@@ -94,6 +94,18 @@ def test_geometric_ray_raises():
         D(math.pi, 0.0)    # pi and -pi coincide mod A = pi
 
 
+@pytest.mark.parametrize("angle, dtheta, message", [
+    (math.inf, 1.0, "cone angle must be finite"),   # was a geometric ray
+    (math.nan, 1.0, "cone angle must be finite"),
+    (0.0, 1.0, "cone angle must be finite"),
+    (FOUR_PI, math.nan, "dtheta must be finite"),   # was nan + nan i
+    (FOUR_PI, -math.inf, "dtheta must be finite"),
+])
+def test_non_finite_input_raises_value_error(angle, dtheta, message):
+    with pytest.raises(ValueError, match=message):
+        D(angle, dtheta)
+
+
 def test_is_geometric_guard_boundary():
     ev = DiffractionEvaluator(3 * math.pi)
     assert is_geometric(ev, math.pi + 1e-12)

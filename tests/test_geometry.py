@@ -105,6 +105,17 @@ def test_polygon_rejects_degenerate():
         build_polygon_double([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
 
 
+@pytest.mark.parametrize("vertices, index", [
+    ([(0, 0), (3, 0), (0, math.nan)], 2),
+    ([(0, 0), (math.inf, 0), (0, 4)], 1),
+    ([(-math.inf, 0), (3, 0), (0, math.inf)], 0),
+])
+def test_polygon_rejects_non_finite_vertex(vertices, index):
+    # nan used to give 19 angle and theta problems, inf a repeated vertex
+    with pytest.raises(PolygonError, match=f"^vertex {index} is not finite"):
+        build_polygon_double(vertices)
+
+
 @given(st.floats(2.0, 6.0), st.floats(0.5, 5.0), st.floats(-1.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_random_triangle_doubles_validate(base, height, apex_x):
@@ -164,6 +175,23 @@ def test_validate_catches_bad_angles():
             cone_points=(ConePoint(id="P", cone_angle=-1.0),),
             edges=(),
         ))
+
+
+@pytest.mark.parametrize("field, values, problem", [
+    ("cone_angle", (math.inf, math.inf), "angle must be finite"),
+    ("cone_angle", (math.nan, 4 * math.pi), "angle must be finite"),
+    ("length", (math.inf, math.inf), "length must be finite"),
+    ("length", (math.inf, math.pi), "length must be finite"),
+])
+def test_validate_requires_finite_numbers(two_cone, field, values, problem):
+    # both lengths inf used to pass (L0 = inf, Lambda = 0), one gave only
+    # "reversal length mismatch"; an inf angle passed too
+    parts = two_cone.cone_points if field == "cone_angle" else two_cone.edges
+    changed = tuple(dataclasses.replace(p, **{field: v})
+                    for p, v in zip(parts, values))
+    key = "cone_points" if field == "cone_angle" else "edges"
+    with pytest.raises(SurfaceValidationError, match=problem):
+        validate_spec(dataclasses.replace(two_cone, **{key: changed}))
 
 
 def test_rejects_higher_dimension(two_cone):

@@ -280,8 +280,10 @@ def log_band_path(re_lo: float, re_hi: float, nu_lo: float, nu_hi: float,
     The band lies between the curves y = -nu*log(x) + im_offset; the path
     runs along the lower curve, up the right edge, back along the upper
     curve and down the left edge.  Returns (path_fn, nseg) for
-    winding_number.
+    winding_number; bounds not finite or not ordered raise ValueError.
     """
+    if not all(map(math.isfinite, (re_lo, re_hi, nu_lo, nu_hi, im_offset))):
+        raise ValueError("band bounds and offset must be finite")
     if not (0.0 <= nu_lo < nu_hi):
         raise ValueError("need 0 <= nu_lo < nu_hi")
     if not (1.0 < re_lo < re_hi):

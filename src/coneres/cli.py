@@ -192,6 +192,8 @@ def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
                         seed=args.seed)
     except (ZeroNearBoundary, AuditError, NoConvergence, EscapedBox) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
+    except ValueError as exc:   # a bad --seed, before any evaluation
+        return _fail(str(exc))
 
     min_re = max(region.re_min, tol.fit_min_re)
     fit = verification = None

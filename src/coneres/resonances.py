@@ -6,13 +6,14 @@ below a safe step, and sum.  Boxes with positive winding are bisected
 (with guarded split lines) until each holds a single zero, which Newton
 then polishes using the analytic derivative.  A strip scan does this in
 rounds over the boxes of all its columns, with one Newton batch a round.
-Its winding walks run in lock-step: one walk counts every column box,
-and each split pass probes the split lines of every box it splits in one
-evaluation and walks all the halves together, so each refinement round
-evaluates the new points of every live contour at once, and re-tests only
-the steps it split.  Each box is
-still decided on its own samples and iterates alone.  Every subdivision
-and the final scan are audited: windings must be conserved exactly.
+The scan takes its columns in runs that bound the work in flight, and
+its winding walks run in lock-step: one walk counts every column box of
+a run, and each split pass probes the split lines of every box it splits
+in one evaluation and walks all the halves together, so each refinement
+round evaluates the new points of every live contour at once, and
+re-tests only the steps it split.  Each box is still decided on its own
+samples and iterates alone.  Every subdivision and every run are
+audited: windings must be conserved exactly.
 """
 from __future__ import annotations
 
@@ -155,9 +156,9 @@ class ResonanceSet:
 # phase continuation
 
 
-# Most points in one f.values call and in one lock-step group of walks.
-# values builds (points x terms) temporaries: walked uncapped, the column
-# boxes of the 3-4-5 scan over Re [100, 300] peak at 86 MB, not 56 MB.
+# Most points in one f.values call (see _values).  values builds (points x
+# terms) temporaries: uncapped, the 3-4-5 scan over Re [100, 300] peaks at
+# 73 MB, not 41 MB.  The samples a walk holds are bounded by column runs.
 MAX_BATCH_POINTS = 4096
 
 
@@ -228,7 +229,7 @@ def winding_number(f, path_fn, nseg: int,
     must scale the counts with segment length times phase rate.
 
     Cost: one pass over the initial grid, then per refinement round only
-    the steps still suspicious (see _walk_group), so a long contour that
+    the steps still suspicious (see _winding_numbers), so a long contour that
     needs a few local refinements costs about its grid, not grid times
     rounds.
     """
@@ -237,13 +238,15 @@ def winding_number(f, path_fn, nseg: int,
                                      tol))[0]
 
 
-def _is_count(p) -> bool:
-    """p is an int (not a bool) of at least 1."""
-    return isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 1
+def _is_count(p, least: int = 1) -> bool:
+    """p is an int (not a bool) of at least ``least``."""
+    return isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= least
 
 
 def _initial_grid(nseg: int, per_segment, tol: tol_mod.Tolerances) -> np.ndarray:
     """The samples t in [0, nseg] a walk starts from (see winding_number)."""
+    if not _is_count(nseg):
+        raise ValueError(f"nseg must be an int >= 1, got {nseg!r}")
     p = tol.winding_initial_per_segment if per_segment is None else per_segment
     if _is_count(p):
         return np.linspace(0.0, float(nseg), nseg * p + 1)
@@ -273,28 +276,10 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
 
     Contour k is t -> path(t, k) for t in [0, grids[k][-1]], sampled first
     at grids[k] and refined as winding_number walks it alone: the same
-    points and the same checks in the same order.  Contours go in groups
-    of at most MAX_BATCH_POINTS initial samples (a longer contour walks
-    alone), and each refinement round of a group evaluates the midpoints
-    of all its live contours together.  A group costs one pass over its
-    initial samples, then per round only the steps split in that round.
-    Returns the winding or the ZeroNearBoundary of each contour.
-    """
-    out: list = []
-    first = size = 0
-    for k, grid in enumerate(grids):
-        if k > first and size + grid.size > MAX_BATCH_POINTS:
-            out += _walk_group(f, path, first, grids[first:k], tol)
-            first, size = k, 0
-        size += grid.size
-    if grids:
-        out += _walk_group(f, path, first, grids[first:], tol)
-    return out
-
-
-def _walk_group(f, path, first: int, grids: list[np.ndarray],
-                tol: tol_mod.Tolerances) -> list:
-    """_winding_numbers of contours first, first + 1, ... in one lock-step walk.
+    points and the same checks in the same order.  Returns the winding or
+    the ZeroNearBoundary of each contour.  All contours walk together, so
+    the caller bounds the samples in flight (a scan walks one run of
+    columns at a time); _values caps each values call.
 
     The walk holds steps (t0, t1, f0, f1, owner) in contour-then-t order,
     and one loop body runs every round.  It takes the phase increment and
@@ -313,12 +298,13 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
     """
     n = len(grids)
     out: list = [None] * n
-    ids = first + np.arange(n)
+    if not n:
+        return out
     span = np.array([g[-1] for g in grids])
     counts = np.array([g.size for g in grids])
     t0 = np.concatenate(grids)
-    f0 = _values(f, path(t0, np.repeat(ids, counts)))
     owner = np.repeat(np.arange(n), counts)
+    f0 = _values(f, path(t0, owner))
     # force exact closure so the increments telescope to a clean multiple
     ends = np.cumsum(counts)
     f0[ends - 1] = f0[ends - counts]
@@ -327,8 +313,6 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
 
     def stop(hit: np.ndarray, message: str) -> None:
         """End the walks of the contours ``hit``."""
-        if not hit.size:
-            return
         for c in np.unique(hit[walking[hit]]):
             out[c] = ZeroNearBoundary(message)
         walking[hit] = False
@@ -377,7 +361,7 @@ def _walk_group(f, path, first: int, grids: list[np.ndarray],
             return out
         t0, t1, f0, f1, owner, tm = _kept((t0, t1, f0, f1, owner, tm),
                                           walking[owner])
-        fm = _values(f, path(tm, ids[owner]))
+        fm = _values(f, path(tm, owner))
         stop(underflow(fm, owner), "contour value underflow: zero on the path?")
         counts += np.bincount(owner, minlength=n)
         t0, t1, f0, f1, owner, tm, fm = _kept((t0, t1, f0, f1, owner, tm, fm),
@@ -496,18 +480,18 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances) -> li
     exception of each item.
     """
     out: list = [None] * len(items)
-    axes = [0 if box.width >= box.height else 1 for box, _ in items]
-    tries = [0] * len(items)
     last_exc: list[Exception | None] = [None] * len(items)
     pending = list(range(len(items)))
-    while pending:
-        lines = [(items[i][0], axes[i], _SPLIT_FRACTIONS[tries[i]]) for i in pending]
+    for frac in _SPLIT_FRACTIONS:
+        if not pending:
+            break
+        boxes = [items[i][0] for i in pending]
+        lines = [(b, 0 if b.width >= b.height else 1, frac) for b in boxes]
         clear = _lines_clear(f, lines, tol)
-        halves = [half for (box, axis, frac), ok in zip(lines, clear) if ok
+        halves = [half for (box, axis, _), ok in zip(lines, clear) if ok
                   for half in box.split(axis, frac)]
         counts = iter(zip(halves, _count_zeros(f, halves, tol)))
-        retry = []
-        for i, (box, axis, frac), ok in zip(pending, lines, clear):
+        for i, (box, axis, _), ok in zip(pending, lines, clear):
             if ok:
                 (b1, w1), (b2, w2) = next(counts), next(counts)
                 failed = next((w for w in (w1, w2) if isinstance(w, Exception)), None)
@@ -519,13 +503,10 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances) -> li
                     )
                     continue
                 last_exc[i] = failed
-            tries[i] += 1
-            if tries[i] < len(_SPLIT_FRACTIONS):
-                retry.append(i)
-                continue
-            out[i] = ZeroNearBoundary(f"all split lines rejected for box {box}")
-            out[i].__cause__ = last_exc[i]
-        pending = retry
+        pending = [i for i in pending if out[i] is None]
+    for i in pending:
+        out[i] = ZeroNearBoundary(f"all split lines rejected for box {items[i][0]}")
+        out[i].__cause__ = last_exc[i]
     return out
 
 
@@ -558,7 +539,8 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
                 found[col].append(Resonance(lam=lam, residual=resid, winding=wb, box=b))
                 continue
             if b.diameter < tol.min_box_diameter:
-                raise NoConvergence(f"cannot localise zero inside {b}")
+                newton = results.get((col, b))   # its failed Newton start, if any
+                raise NoConvergence(f"cannot localise zero inside {b}") from newton
             split.append((col, b, wb))
         halves = _checked(_split_boxes(f, [(b, wb) for _, b, wb in split], tol))
         work = [(col, sb, sw) for (col, _, _), pair in zip(split, halves)
@@ -616,6 +598,33 @@ def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
     return np.asarray(cleaned, dtype=complex)
 
 
+def _scan_run(f, boxes: list[Box], newton_scale: float,
+              tol: tol_mod.Tolerances) -> tuple[list[Resonance], int]:
+    """The zeros of one run of columns and the audited winding of the run.
+
+    The column windings must add up to the winding of the run's staircase
+    outline, and each column must hold its winding in zeros clear of the
+    boundary guard.
+    """
+    results = _scan_columns(f, boxes, newton_scale, tol)
+    total_cols = sum(w for _, w, _ in results)
+    outer = winding_number(f, *polyline_path(_staircase_vertices(boxes)), tol)
+    if outer != total_cols:
+        raise AuditError(
+            f"winding audit failed on the columns over Re [{boxes[0].re_lo}, "
+            f"{boxes[-1].re_hi}]: columns total {total_cols}, outer contour {outer}"
+        )
+    for b, w, found in results:
+        if sum(r.winding for r in found) != w:
+            raise AuditError(f"column at [{b.re_lo}, {b.re_hi}] lost zeros")
+        for r in found:
+            # guard against zeros hugging an audit line of the tiling
+            if b.boundary_distance(r.lam) < tol.boundary_guard:
+                raise ZeroNearBoundary(f"refined zero {r.lam} violates the "
+                                       "boundary guard")
+    return [r for _, _, found in results for r in found], outer
+
+
 def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
                tol: tol_mod.Tolerances = tol_mod.DEFAULT,
                jobs: int = 1,
@@ -627,15 +636,24 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
 
     ``char_fn`` replaces the spec's characteristic function with any
     object having ``values`` and ``values_and_derivs``.  ``jobs`` is
-    accepted and ignored, since the scan runs in one process.
+    accepted and ignored, since the scan runs in one process.  A ``seed``
+    that is not an int >= 0 raises ValueError before any evaluation.
 
     The strip is covered by full-height columns about half the expected
     ladder spacing wide, aligned so predicted zeros sit near column
-    centres when a ladder model is available.  Any boundary conflict
-    restarts the scan on a shifted grid (deterministic shifts).  The sum
-    of located windings must equal the winding of the staircase outline of
-    the scanned union, else AuditError.
+    centres when a ladder model is available.  Columns are scanned in
+    runs of tol.winding_max_points // (8 * winding_initial_per_segment),
+    3,125 at the defaults, so that a run's staircase outline (about 64
+    initial samples a column) takes half the point budget, as gap_report's
+    band pieces do; but at least 2, as the outline of one column is that
+    column's own contour, walked again.  The column windings of each run must add up to the
+    winding of its outline, else AuditError.  Where two runs meet, a
+    column and a run outline walk the same side with the same samples, so
+    the audit does not cover those sides.  Any boundary conflict restarts
+    the whole scan on a shifted grid (deterministic shifts).
     """
+    if not _is_count(seed, least=0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     if char_fn is not None:
         f = char_fn
     elif spec is not None:
@@ -657,45 +675,23 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
             # put the predicted coset mid-column: boundaries at c_re + w/2 (mod w)
             seed_shift = (model.c_re + 0.5 * width - region.re_min) % width
 
+    run = max(2, tol.winding_max_points // (8 * tol.winding_initial_per_segment))
     last_exc: Exception | None = None
     for attempt in range(tol.grid_retry_shifts):
         shift = seed_shift + grid_offset + attempt * 0.137 * width
         boxes = _column_boxes(region, width, shift)
         try:
-            results = _scan_columns(f, boxes, width, tol)
-            return _assemble_set(spec, f, boxes, results, region, tol,
-                                 with_null_vectors, seed)
+            runs = [_scan_run(f, boxes[i:i + run], width, tol)
+                    for i in range(0, len(boxes), run)]
+            break
         except ZeroNearBoundary as exc:
             last_exc = exc
-    raise ZeroNearBoundary(
-        f"scan failed after {tol.grid_retry_shifts} grid shifts"
-    ) from last_exc
-
-
-def _assemble_set(spec, f, boxes, results, region, tol,
-                  with_null_vectors, seed) -> ResonanceSet:
-    total_cols = sum(w for _, w, _ in results)
-    outline = _staircase_vertices(boxes)
-    path_fn, nseg = polyline_path(outline)
-    outer = winding_number(f, path_fn, nseg, tol)
-    if outer != total_cols:
-        raise AuditError(
-            f"winding audit failed: columns total {total_cols}, "
-            f"outer contour {outer}"
-        )
-    items: list[Resonance] = []
-    for b, w, found in results:
-        got = sum(r.winding for r in found)
-        if got != w:
-            raise AuditError(f"column at [{b.re_lo}, {b.re_hi}] lost zeros")
-        for r in found:
-            # guard against zeros hugging an audit line of the tiling
-            if b.boundary_distance(r.lam) < tol.boundary_guard:
-                raise ZeroNearBoundary(
-                    f"refined zero {r.lam} violates the boundary guard"
-                )
-        items.extend(found)
-    items.sort(key=lambda r: (r.lam.real, r.lam.imag))
+    else:
+        raise ZeroNearBoundary(
+            f"scan failed after {tol.grid_retry_shifts} grid shifts"
+        ) from last_exc
+    items = sorted((r for found, _ in runs for r in found),
+                   key=lambda r: (r.lam.real, r.lam.imag))
     if with_null_vectors and spec is not None:
         from . import monodromy
         vectors = monodromy.null_vectors(spec, [r.lam for r in items],
@@ -705,4 +701,4 @@ def _assemble_set(spec, f, boxes, results, region, tol,
                          else tuple(sorted(mv.null_mass().items())))
                  for r, mv in zip(items, vectors)]
     return ResonanceSet(items=tuple(items), region=region,
-                        total_winding_audited=outer)
+                        total_winding_audited=sum(outer for _, outer in runs))

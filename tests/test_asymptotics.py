@@ -190,6 +190,16 @@ def test_log_band_path_closes():
     assert 50.0 <= z.real <= 80.0
 
 
+@pytest.mark.parametrize("bounds", [
+    (50.0, math.inf, 0.1, 0.3, 0.0), (50.0, 80.0, 0.1, math.inf, 0.0),
+    (math.nan, 80.0, 0.1, 0.3, 0.0), (50.0, 80.0, math.nan, 0.3, 0.0),
+    (50.0, 80.0, 0.1, 0.3, math.nan), (50.0, 80.0, 0.1, 0.3, -math.inf)])
+def test_log_band_path_rejects_non_finite_bounds(bounds):
+    # the walk would otherwise fail far from the cause, in a value underflow
+    with pytest.raises(ValueError, match="must be finite"):
+        log_band_path(*bounds[:4], im_offset=bounds[4])
+
+
 def test_band_winding_counts_enclosed_ladder(two_cone):
     # a band hugging the string (shifted by C_im) catches one zero per
     # spacing; the count must match the enclosed ladder exactly

@@ -138,6 +138,13 @@ def test_scan_infinite_strip_is_one_line(strip):
     assert r.stderr == "error: strip bounds must be finite\n"
 
 
+def test_scan_negative_seed_is_one_line():
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4", "--re", "100", "104",
+                "--nu", "0.05", "0.35", "--seed", "-1")
+    assert r.returncode == 1
+    assert r.stderr == "error: seed must be an int >= 0, got -1\n"
+
+
 def test_scan_numerical_failure_is_one_line(tmp_path):
     # a contour point budget too small for any refinement
     cfg = tmp_path / "tol.yaml"

@@ -10,9 +10,9 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      with_overrides)
 from coneres.asymptotics import log_band_path
 from coneres import resonances
-from coneres.resonances import (_SPLIT_FRACTIONS, TWO_PI, _count_zeros,
-                                _checked, _lines_clear, _refine_roots,
-                                _split_boxes, _values, _winding_numbers)
+from coneres.resonances import (_SPLIT_FRACTIONS, MAX_BATCH_POINTS, TWO_PI,
+                                _count_zeros, _checked, _lines_clear,
+                                _refine_roots, _split_boxes, _values)
 
 
 def poly_handle(*zeros):
@@ -67,19 +67,18 @@ class Recorded:
         return self.f.values(lam)
 
 
-def reference_walk_group(f, path, first, grids, tol):
-    """resonances._walk_group as a full recompute: every round re-tests every
-    sample of every live contour and inserts the midpoints into full-length
-    arrays.  The step walk must reproduce its windings, its exceptions and
-    its values batches."""
+def reference_winding_numbers(f, path, grids, tol):
+    """resonances._winding_numbers as a full recompute: every round re-tests
+    every sample of every live contour and inserts the midpoints into
+    full-length arrays.  The step walk must reproduce its windings, its
+    exceptions and its values batches."""
     n = len(grids)
     out = [None] * n
-    ids = first + np.arange(n)
     span = np.array([g[-1] for g in grids])
     t = np.concatenate(grids)
     order = np.arange(n)
     counts = np.array([g.size for g in grids])
-    vals = _values(f, path(t, np.repeat(ids, counts)))
+    vals = _values(f, path(t, np.repeat(order, counts)))
     ends = np.cumsum(counts)
     vals[ends - 1] = vals[ends - counts]
     walking = np.ones(n, dtype=bool)
@@ -133,7 +132,7 @@ def reference_walk_group(f, path, first, grids, tol):
         sampled = walking[owner]
         bad, slot, tm, owner = bad[sampled], slot[sampled], tm[sampled], owner[sampled]
         if bad.size:
-            vm = _values(f, path(tm, ids[owner]))
+            vm = _values(f, path(tm, owner))
             stop(underflow(vm, owner), "contour value underflow: zero on the path?")
             t = np.insert(t, bad + 1, tm)
             vals = np.insert(vals, bad + 1, vm)
@@ -164,11 +163,12 @@ def seeded_boxes(seed, nzeros, nboxes):
 
 
 def assert_same_walks(monkeypatch, walk, f, *args):
-    """walk(f, *args) of the step walk and of the reference give the same
-    windings, the same exception messages and the same values batches."""
+    """walk(f, *args) with the step walk and with the reference as
+    resonances._winding_numbers gives the same windings, the same exception
+    messages and the same values batches."""
     results, batches = [], []
-    for group in (resonances._walk_group, reference_walk_group):
-        monkeypatch.setattr(resonances, "_walk_group", group)
+    for walks in (resonances._winding_numbers, reference_winding_numbers):
+        monkeypatch.setattr(resonances, "_winding_numbers", walks)
         recorded = Recorded(f)
         results.append(walk(recorded, *args))
         batches.append(recorded.batches)
@@ -252,12 +252,17 @@ def test_step_walk_matches_full_recompute_on_every_way_a_walk_ends(
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_walk_matches_full_recompute_on_seeded_polynomials(monkeypatch, seed):
-    # 150 random boxes make three lock-step groups of up to 63 contours
+    # 150 random boxes walk in one lock-step walk: their 150 * 65 initial
+    # samples in values calls of at most MAX_BATCH_POINTS, then one call a
+    # refinement round
     zeros, boxes = seeded_boxes(seed, 40, 150)
     got, batches = assert_same_walks(monkeypatch, _count_zeros,
                                      poly_handle(*zeros), boxes, DEFAULT)
     assert all(type(g) is int for g in got) and sum(got) > 50
-    assert len(batches) > 10
+    sizes = [b.size for b in batches]
+    assert sizes[:3] == [4096, 4096, 1558]
+    assert 3 < len(sizes) <= 3 + 44
+    assert all(0 < size < MAX_BATCH_POINTS for size in sizes[3:])
 
 
 def test_walk_hits_the_resolution_floor_within_44_rounds():
@@ -273,7 +278,7 @@ def test_walk_hits_the_resolution_floor_within_44_rounds():
 
 
 def test_step_walk_matches_full_recompute_on_long_contours(monkeypatch):
-    # contours longer than MAX_BATCH_POINTS walk alone, next to short ones
+    # contours longer than MAX_BATCH_POINTS walk in one walk with short ones
     zeros = (5.13 - 0.8j, 7.02 - 1.2j, complex(6.0, -0.8 * math.log(6.0) + 0.01),
              4.5 - 0.1j)
     band, _ = log_band_path(4.0, 8.0, 0.3, 0.8)
@@ -283,9 +288,12 @@ def test_step_walk_matches_full_recompute_on_long_contours(monkeypatch):
         return np.where(owner % 2 == 0, band(t), square(t))
 
     grids = [np.linspace(0.0, 4.0, c) for c in (5001, 65, 3000, 17, 2000)]
-    got, _ = assert_same_walks(monkeypatch, _winding_numbers,
-                               poly_handle(*zeros), path, grids, DEFAULT)
+    # through the module, so the walk called is the one patched in
+    got, batches = assert_same_walks(
+        monkeypatch, lambda *args: resonances._winding_numbers(*args),
+        poly_handle(*zeros), path, grids, DEFAULT)
     assert got == [3, 1, 3, 1, 3]
+    assert [b.size for b in batches[:3]] == [4096, 4096, 10_083 - 2 * 4096]
 
 
 def test_winding_number_walks_a_log_band():
@@ -333,6 +341,15 @@ def test_per_segment_rejects_bad_counts(per_segment):
     path, nseg = polyline_path(np.array([1, 1j, -1, -1j, 1], dtype=complex))
     with pytest.raises(ValueError, match="per_segment"):
         winding_number(h, path, nseg, per_segment=per_segment)
+    assert h.calls == 0
+
+
+@pytest.mark.parametrize("nseg", [0, -1, 4.0, True, "4"])
+def test_winding_number_rejects_bad_segment_counts(nseg):
+    h = Counted(poly_handle(0.0j))
+    path, _ = polyline_path(np.array([1, 1j, -1, -1j, 1], dtype=complex))
+    with pytest.raises(ValueError, match="nseg"):
+        winding_number(h, path, nseg)
     assert h.calls == 0
 
 
@@ -520,6 +537,25 @@ def test_scan_grid_offset_stability():
     assert np.allclose(a.lambdas(), b.lambdas(), atol=1e-8)
 
 
+def test_scan_without_derivative_names_the_newton_failure():
+    # Newton fails in every ready box, so the scan splits down to the
+    # smallest box; the error says why Newton failed there
+    h = FunctionHandle(poly_handle(5.13 - 0.8j).values)
+    with pytest.raises(NoConvergence, match="cannot localise zero") as info:
+        scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8), char_fn=h)
+    assert type(info.value.__cause__) is NoConvergence
+    assert str(info.value.__cause__) == ("no derivative available for Newton "
+                                         "refinement")
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True, "7", None])
+def test_scan_rejects_bad_seed_before_evaluating(seed):
+    h = Counted(poly_handle(5.13 - 0.8j))
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8), char_fn=h, seed=seed)
+    assert h.calls == 0
+
+
 def test_scan_requires_function_or_spec():
     with pytest.raises(ValueError):
         scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8))
@@ -622,10 +658,58 @@ def test_scan_audit_total(triangle_345):
     assert np.all(np.diff(lams.real) >= 0)
 
 
+def spy_runs(monkeypatch, doctor_run=None):
+    """The column boxes of every run the scan takes; ``doctor_run`` (a run
+    index) adds one to the winding of that run's first column."""
+    runs = []
+    scan_columns = resonances._scan_columns
+
+    def spy(f, boxes, *args):
+        results = scan_columns(f, boxes, *args)
+        if len(runs) == doctor_run:
+            (box, w, found), *rest = results
+            results = [(box, w + 1, found), *rest]
+        runs.append(boxes)
+        return results
+
+    monkeypatch.setattr(resonances, "_scan_columns", spy)
+    return runs
+
+
+@pytest.mark.parametrize("budget, run, nruns", [(8 * 16 * 40, 40, 2),
+                                                 (8 * 16 * 13, 13, 5),
+                                                 (8 * 16 * 2 - 1, 2, 33)])
+def test_scan_in_runs_matches_one_run(triangle_345, monkeypatch, budget, run,
+                                      nruns):
+    # 65 columns: one run at the defaults, runs of budget // (8 * 16)
+    # columns, but at least 2, under a smaller point budget; each run is
+    # audited on its own
+    region = SearchRegion(100.0, 120.0, 0.05, 0.35)
+    whole = scan_strip(triangle_345, region)
+    runs = spy_runs(monkeypatch)
+    tol = with_overrides({"winding_max_points": budget})
+    cut = scan_strip(triangle_345, region, tol=tol)
+    assert [len(r) for r in runs] == [run] * (nruns - 1) + [65 - (nruns - 1) * run]
+    assert cut.items == whole.items
+    assert cut.total_winding_audited == whole.total_winding_audited == 77
+
+
+def test_scan_audits_every_run(triangle_345, monkeypatch):
+    # a column winding one too high in the second run fails that run's audit
+    runs = spy_runs(monkeypatch, doctor_run=1)
+    tol = with_overrides({"winding_max_points": 8 * 16 * 13})
+    with pytest.raises(AuditError, match="winding audit failed") as info:
+        scan_strip(triangle_345, SearchRegion(100.0, 120.0, 0.05, 0.35), tol=tol)
+    assert len(runs) == 2
+    assert str(info.value).startswith(
+        f"winding audit failed on the columns over Re [{runs[1][0].re_lo}, "
+        f"{runs[1][-1].re_hi}]: columns total ")
+
+
 def test_scan_evaluates_the_same_points_in_few_values_calls(triangle_345):
     # 515,224 points, as the scan evaluated them when it walked one contour
-    # per values call (11,139 calls); the lock-step walks take the same
-    # points in fewer than 1,000 calls
+    # per values call (11,139 calls); one lock-step walk for the columns of
+    # the scan's one run and one a split pass take the same points in 190
     cf = char_function(triangle_345)
     counted = Counted(cf)
     before = cf.n_evals
@@ -633,7 +717,7 @@ def test_scan_evaluates_the_same_points_in_few_values_calls(triangle_345):
                     char_fn=counted)
     assert len(rs.items) == 764
     assert cf.n_evals - before == 515_224
-    assert counted.calls < 1000
+    assert counted.calls <= 200
 
 
 def test_scan_decisions_do_not_depend_on_values_kernel(triangle_345):

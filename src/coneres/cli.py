@@ -7,10 +7,12 @@ Subcommands:
   statphase-check  run the stationary-phase order battery
 
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis or
-verification failure, or a numerical failure of the scan
-(ZeroNearBoundary, AuditError, NoConvergence, EscapedBox).  Scan outputs
-are byte-deterministic for a fixed surface, region and seed.  --jobs is
-accepted and ignored, because scans run in one process.
+verification failure, a numerical failure of the scan (ZeroNearBoundary,
+AuditError, NoConvergence, EscapedBox), or a statphase-check oracle that
+tolerance overrides put out of reach (CostBudgetExceeded,
+InsufficientData).  Scan outputs are byte-deterministic for a fixed
+surface, region and seed.  --jobs is accepted and ignored, because scans
+run in one process.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ import os
 import sys
 
 from . import tolerances as tol_mod
-from .errors import (AuditError, EscapedBox, GeometricRaySingularity,
-                     InsufficientData, NoConvergence, PolygonError,
-                     SurfaceValidationError, ZeroNearBoundary)
+from .errors import (AuditError, CostBudgetExceeded, EscapedBox,
+                     GeometricRaySingularity, InsufficientData, NoConvergence,
+                     PolygonError, SurfaceValidationError, ZeroNearBoundary)
 from .geometry import (build_polygon_double, length_scales, load_surface,
                        validate_hypotheses)
 from .diffraction import DiffractionEvaluator, diffraction_coefficient
@@ -281,20 +283,24 @@ def _battery_problem(n: int, h: float) -> sp.StatPhaseProblem:
 
 def _cmd_statphase(args, tol: tol_mod.Tolerances) -> int:
     ok = True
-    for n, order, hs in _BATTERY:
-        if args.order is not None and order != args.order:
-            continue
-        rep = sp.order_check(lambda h, n=n: _battery_problem(n, h), order, hs,
-                             tol=tol)
-        print(rep.to_text())
-        ok = ok and rep.passed()
-    if args.order is None:
-        slope = sp.nonstationary_decay((0.012, 0.008, 0.005, 0.003, 0.002),
-                                       tol=tol)
-        passed = slope > 3.0
-        print(f"nonstationary decay slope {slope:.2f} "
-              f"(require > 3) [{'ok' if passed else 'OFF'}]")
-        ok = ok and passed
+    try:
+        for n, order, hs in _BATTERY:
+            if args.order is not None and order != args.order:
+                continue
+            rep = sp.order_check(lambda h, n=n: _battery_problem(n, h), order,
+                                 hs, tol=tol)
+            print(rep.to_text())
+            ok = ok and rep.passed()
+        if args.order is None:
+            slope = sp.nonstationary_decay((0.012, 0.008, 0.005, 0.003, 0.002),
+                                           tol=tol)
+            passed = slope > 3.0
+            print(f"nonstationary decay slope {slope:.2f} "
+                  f"(require > 3) [{'ok' if passed else 'OFF'}]")
+            ok = ok and passed
+    except (CostBudgetExceeded, InsufficientData) as exc:
+        # an oracle that tolerance overrides put out of reach
+        return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

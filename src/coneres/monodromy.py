@@ -151,9 +151,12 @@ class CharFunction:
         if self._terms is None:
             return self._lu(lam)[2]
         power, ell, coeff = self._terms
-        # lam^{-k/2} e^{i lam ell} as one exponential, principal branch
-        return np.exp(np.multiply.outer(np.log(lam), power)
-                      + np.multiply.outer(1j * lam, ell)) @ coeff
+        # lam^{-k/2} e^{i lam ell} as one exponential, principal branch;
+        # einsum sums each row in one fixed order (a matmul's order depends
+        # on the batch), so a point's value does not depend on its batch
+        terms = np.exp(np.multiply.outer(np.log(lam), power)
+                       + np.multiply.outer(1j * lam, ell))
+        return np.einsum("ij,j->i", terms, coeff)
 
     def values_and_derivs(self, lam) -> tuple[np.ndarray, np.ndarray]:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))

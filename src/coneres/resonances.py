@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (AuditError, EscapedBox, NoConvergence, ZeroNearBoundary)
 from . import tolerances as tol_mod
 from .geometry import ConeSurfaceSpec, length_scales
-from .monodromy import char_function
+from . import monodromy
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,12 +200,6 @@ def _polylines(v: np.ndarray):
     return path
 
 
-def _box_path(boxes: list[Box]):
-    """path(t, owner): the polyline_path of boxes[owner].corners() at t."""
-    return _polylines(np.array([b.corners() for b in boxes],
-                               dtype=complex).reshape(-1, 5))
-
-
 def winding_number(f, path_fn, nseg: int,
                    tol: tol_mod.Tolerances = tol_mod.DEFAULT,
                    per_segment: int | Sequence[int] | None = None) -> int:
@@ -266,8 +260,9 @@ def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
 
 def _count_zeros(f, boxes: list[Box], tol: tol_mod.Tolerances) -> list:
     """count_zeros of every box, in lock-step: the int or exception of each."""
+    corners = np.array([b.corners() for b in boxes], dtype=complex).reshape(-1, 5)
     grid = _initial_grid(4, None, tol)
-    return _winding_numbers(f, _box_path(boxes), [grid] * len(boxes), tol)
+    return _winding_numbers(f, _polylines(corners), [grid] * len(boxes), tol)
 
 
 def _winding_numbers(f, path, grids: list[np.ndarray],
@@ -404,7 +399,9 @@ def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
     One values_and_derivs call per iteration serves all live starts.  The
     step runs on Python complex scalars, as numpy's complex division can
     differ in the last bit.  Returns (lam, |f(lam)|) or the exception per
-    start; a NoConvergence from f fails every live start.
+    start.  An exception raised by f.values_and_derivs itself (say, a
+    NoConvergence: no derivative, or I - M singular after its nudge) is
+    the whole batch's and propagates.
     """
     lams = {i: complex(lam0) for i, (lam0, _, _) in enumerate(starts)}
     roams = [box.inflate(3.0) for _, box, _ in starts]
@@ -412,10 +409,7 @@ def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
     for _ in range(tol.newton_max_iter):
         if not lams:
             break
-        try:
-            vs, ds = f.values_and_derivs(np.asarray(list(lams.values()), dtype=complex))
-        except NoConvergence as exc:
-            return [done.get(i, exc) for i in range(len(starts))]
+        vs, ds = f.values_and_derivs(np.asarray(list(lams.values()), dtype=complex))
         for (i, lam), v, d in zip(list(lams.items()), vs, ds):
             _, box, multiplicity = starts[i]
             v, d = complex(v), complex(d)
@@ -514,34 +508,34 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
                   tol: tol_mod.Tolerances) -> list[tuple[Box, int, list[Resonance]]]:
     """(box, winding, refined zeros) of every column box, in rounds.
 
-    One lock-step walk counts every column box.  Each round then runs
-    Newton on every ready box and splits every other box in lock-step
-    passes.
+    One lock-step walk counts every column box.  Each round then makes one
+    Newton batch: from the centre of every one-zero box at Newton scale,
+    and of every box below tol.multiplicity_diameter that still winds more
+    than once (one zero of that multiplicity, within its 4x box).  Every
+    other box, and every one-zero box whose start failed, is split.
     """
     counts = _checked(_count_zeros(f, boxes, tol))
     found: list[list[Resonance]] = [[] for _ in boxes]
     work = [(col, box, w) for col, (box, w) in enumerate(zip(boxes, counts)) if w]
     while work:
-        ready = [(col, b) for col, b, wb in work
-                 if wb == 1 and max(b.width, b.height) <= 1.6 * newton_scale]
-        refined = _refine_roots(f, [(b.center, b, 1) for _, b in ready], tol)
-        results = dict(zip(ready, refined))
+        starts = [(b.center, b, 1)
+                  if wb == 1 and max(b.width, b.height) <= 1.6 * newton_scale else
+                  (b.center, b.inflate(4.0), wb)
+                  if wb > 1 and b.diameter < tol.multiplicity_diameter else None
+                  for _, b, wb in work]
+        refined = iter(_refine_roots(f, [s for s in starts if s], tol))
         split: list[tuple[int, Box, int]] = []
-        for col, b, wb in work:
-            if isinstance(results.get((col, b)), tuple):
-                lam, resid = results[col, b]
-                found[col].append(Resonance(lam=lam, residual=resid, winding=1, box=b))
-                continue
-            # a failed Newton start falls through to a further split
-            if wb > 1 and b.diameter < tol.multiplicity_diameter:
-                # refuses to separate below the multiplicity scale: report as one
-                lam, resid = refine_root(f, b.center, b.inflate(4.0), wb, tol)
+        for (col, b, wb), start in zip(work, starts):
+            newton = next(refined) if start else None
+            if isinstance(newton, tuple):
+                lam, resid = newton
                 found[col].append(Resonance(lam=lam, residual=resid, winding=wb, box=b))
                 continue
+            if wb > 1 and newton is not None:
+                raise newton   # a multiple zero is not split any further
             if b.diameter < tol.min_box_diameter:
-                newton = results.get((col, b))   # its failed Newton start, if any
                 raise NoConvergence(f"cannot localise zero inside {b}") from newton
-            split.append((col, b, wb))
+            split.append((col, b, wb))   # a failed one-zero start splits too
         halves = _checked(_split_boxes(f, [(b, wb) for _, b, wb in split], tol))
         work = [(col, sb, sw) for (col, _, _), pair in zip(split, halves)
                 for sb, sw in pair if sw]
@@ -580,22 +574,13 @@ def _column_boxes(region: SearchRegion, width_hint: float,
 
 
 def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
-    """Counterclockwise outline of the union of column boxes."""
-    pts: list[complex] = [complex(boxes[0].re_lo, boxes[0].im_lo)]
-    for i, b in enumerate(boxes):
-        pts.append(complex(b.re_hi, b.im_lo))
-        if i + 1 < len(boxes):
-            pts.append(complex(b.re_hi, boxes[i + 1].im_lo))
-    for b in reversed(boxes):
-        pts.append(complex(b.re_hi, b.im_hi))
-        pts.append(complex(b.re_lo, b.im_hi))
-    pts.append(pts[0])
+    """Counterclockwise outline of the union of column boxes: the bottom
+    corners left to right, then the top corners right to left, closed."""
+    bottom = [complex(x, b.im_lo) for b in boxes for x in (b.re_lo, b.re_hi)]
+    top = [complex(x, b.im_hi) for b in reversed(boxes) for x in (b.re_hi, b.re_lo)]
+    pts = np.array(bottom + top + bottom[:1], dtype=complex)
     # drop consecutive duplicates (zero-length joints); the path stays closed
-    cleaned = [pts[0]]
-    for p in pts[1:]:
-        if p != cleaned[-1]:
-            cleaned.append(p)
-    return np.asarray(cleaned, dtype=complex)
+    return pts[np.r_[True, pts[1:] != pts[:-1]]]
 
 
 def _scan_run(f, boxes: list[Box], newton_scale: float,
@@ -657,7 +642,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     if char_fn is not None:
         f = char_fn
     elif spec is not None:
-        f = char_function(spec)
+        f = monodromy.char_function(spec)
     else:
         raise ValueError("need a spec or an explicit char_fn")
 
@@ -666,12 +651,12 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         width = (region.re_max - region.re_min) / 16.0
     else:
         from .asymptotics import ladder_model_from_spec
+        width = math.pi / (2.0 * length_scales(spec, tol).L0)
         try:
             model = ladder_model_from_spec(spec, tol)
         except ValueError:   # no single dominant cycle, hence no ladder
-            width = math.pi / (2.0 * length_scales(spec, tol).L0)
+            pass
         else:
-            width = math.pi / (2.0 * model.L0)
             # put the predicted coset mid-column: boundaries at c_re + w/2 (mod w)
             seed_shift = (model.c_re + 0.5 * width - region.re_min) % width
 
@@ -693,7 +678,6 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     items = sorted((r for found, _ in runs for r in found),
                    key=lambda r: (r.lam.real, r.lam.imag))
     if with_null_vectors and spec is not None:
-        from . import monodromy
         vectors = monodromy.null_vectors(spec, [r.lam for r in items],
                                          residual_threshold=1e-4, seed=seed)
         # a NoConvergence: the residual is too large for a null vector

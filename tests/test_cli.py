@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,10 +8,39 @@ import sys
 
 import pytest
 
-from coneres import build_two_cone_surface, serialize_surface
+from coneres import build_two_cone_surface, cli, serialize_surface
 
 
 def run_cli(*args, env_extra=None, cwd=None):
+    """coneres.cli.main on ``args`` in this process, as a CompletedProcess.
+
+    stdout and stderr are captured and a SystemExit becomes the return
+    code.  CONERES_TOL_OVERRIDES is removed unless ``env_extra`` gives it,
+    and the environment and cwd are restored after the call.
+    """
+    saved_env, saved_cwd = dict(os.environ), os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.environ.pop("CONERES_TOL_OVERRIDES", None)
+        os.environ.update(env_extra or {})
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        os.chdir(saved_cwd)
+        os.environ.clear()
+        os.environ.update(saved_env)
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_cli_process(*args, env_extra=None, cwd=None):
+    """``python -m coneres.cli`` on ``args`` in a new process: for what only
+    a fresh process shows (the entry point, start-up, cross-process bytes)."""
     env = dict(os.environ)
     env.pop("CONERES_TOL_OVERRIDES", None)
     if env_extra:
@@ -46,12 +77,13 @@ def test_scan_polygon_writes_outputs(tmp_path):
 
 
 def test_scan_reruns_are_byte_identical(tmp_path):
-    # --jobs is accepted and ignored: the rerun changes no byte
+    # --jobs is accepted and ignored: the rerun in another process changes
+    # no byte
     args = ("scan", "--polygon", "0,0 3,0 0,4",
             "--re", "100", "103", "--nu", "0.05", "0.35")
     a, b = tmp_path / "a", tmp_path / "b"
-    ra = run_cli(*args, "--jobs", "1", "--out", str(a))
-    rb = run_cli(*args, "--jobs", "2", "--out", str(b))
+    ra = run_cli_process(*args, "--jobs", "1", "--out", str(a))
+    rb = run_cli_process(*args, "--jobs", "2", "--out", str(b))
     assert ra.returncode == 0 and rb.returncode == 0
     for name in ("resonances.csv", "plot_data.csv", "report.json",
                  "fit_summary.txt"):
@@ -198,9 +230,10 @@ def test_tolerance_override_unknown_key(tmp_path):
 
 
 def test_tolerance_override_unknown_key_message_is_bare(tmp_path):
+    # read from the environment when a new process starts
     cfg = tmp_path / "tol.yaml"
     cfg.write_text("definitely: 1\n")
-    r = run_cli("validate", "--polygon", "0,0 3,0 0,4",
+    r = run_cli_process("validate", "--polygon", "0,0 3,0 0,4",
                 env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
     assert r.returncode == 1
     assert r.stderr == ("error: bad tolerance override: "
@@ -260,7 +293,8 @@ def test_tolerance_override_bad_file_is_one_line(tmp_path, content):
 
 
 def test_validate_triangle():
-    r = run_cli("validate", "--polygon", "0,0 3,0 0,4")
+    # through the python -m coneres.cli entry point
+    r = run_cli_process("validate", "--polygon", "0,0 3,0 0,4")
     assert r.returncode == 0
     assert "[pass]" in r.stdout
     assert "L0 = 5.0" in r.stdout
@@ -364,6 +398,22 @@ def test_statphase_check_first_order():
     r = run_cli("statphase-check", "--order", "1")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "slope" in r.stdout
+
+
+@pytest.mark.parametrize("override, message", [
+    ("quad_budget_points: 1000.0\n", "error: CostBudgetExceeded: oracle would need "),
+    ("quad_min_h: 0.5\n", "error: InsufficientData: h="),
+])
+def test_statphase_check_out_of_reach_oracle_is_one_line(tmp_path, override,
+                                                         message):
+    # an override that puts the oracle out of reach used to end in a traceback
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text(override)
+    r = run_cli("statphase-check",
+                env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 2
+    assert r.stderr.startswith(message), r.stderr
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_no_command_shows_usage():

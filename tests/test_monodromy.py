@@ -116,6 +116,20 @@ def test_values_take_lu_above_edge_cap():
     assert np.array_equal(cf.values(lam), cf.values_and_derivs(lam)[0])
 
 
+@pytest.mark.parametrize("vertices", [None, [(0, 0), (3, 0), (0, 4)], HEXAGON],
+                         ids=["two-cone", "3-4-5", "hexagon"])
+def test_values_do_not_depend_on_the_batch(two_cone, vertices):
+    # each point's value, bit for bit: alone, in batches of 2, 7 and 33,
+    # and all at once
+    cf = CharFunction(two_cone if vertices is None else build_polygon_double(vertices))
+    lam = _strip_points(462, seed=3)
+    whole = cf.values(lam)
+    for b in (1, 2, 7, 33):
+        parts = np.concatenate([cf.values(lam[i:i + b])
+                                for i in range(0, lam.size, b)])
+        assert parts.tobytes() == whole.tobytes()
+
+
 def test_derivative_against_finite_differences(triangle_345):
     cf = CharFunction(triangle_345)
     h = 1e-6

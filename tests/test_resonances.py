@@ -404,11 +404,13 @@ def test_batched_newton_matches_refine_root_per_start():
         assert any(fragment in m for m in messages)
 
 
-def test_batched_newton_fails_every_start_without_derivative():
+def test_batched_newton_without_derivative_raises():
+    # a Newton call that cannot run fails the whole batch, not each start
     h = FunctionHandle(lambda lam: np.asarray(lam, dtype=complex) - 2.0)
     box = Box(1.5, 2.5, -0.5, 0.5)
-    batch = _refine_roots(h, [(1.9 + 0j, box, 1), (2.1 + 0.1j, box, 1)], DEFAULT)
-    assert [type(r) for r in batch] == [NoConvergence, NoConvergence]
+    with pytest.raises(NoConvergence,
+                       match="^no derivative available for Newton refinement$"):
+        _refine_roots(h, [(1.9 + 0j, box, 1), (2.1 + 0.1j, box, 1)], DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +518,18 @@ def test_scan_finds_synthetic_zeros():
     assert all(r.residual < 1e-9 for r in rs.items)
 
 
-def test_scan_reports_double_zero_as_one_item():
+def test_scan_reports_double_zero_as_one_item(monkeypatch):
+    # the double zero's start rides in the round's one Newton batch
+    batches, alone = [], []
+    refine_roots = resonances._refine_roots
+
+    def spy(f, starts, tol):
+        batches.append([m for _, _, m in starts])
+        return refine_roots(f, starts, tol)
+
+    monkeypatch.setattr(resonances, "_refine_roots", spy)
+    monkeypatch.setattr(resonances, "refine_root",
+                        lambda *args, **kwargs: alone.append(args))
     z0 = 5.53 - 1.0j
     h = poly_handle(z0, z0)
     region = SearchRegion(4.0, 7.0, 0.3, 0.9)
@@ -526,6 +539,56 @@ def test_scan_reports_double_zero_as_one_item():
     assert item.winding == 2
     assert abs(item.lam - z0) < 1e-6
     assert rs.total_winding_audited == 2
+    assert alone == []
+    assert [2] in batches
+
+
+def reference_staircase_vertices(boxes):
+    """The staircase outline as a loop over the joints between columns:
+    _staircase_vertices must give these vertices byte for byte."""
+    pts = [complex(boxes[0].re_lo, boxes[0].im_lo)]
+    for i, b in enumerate(boxes):
+        pts.append(complex(b.re_hi, b.im_lo))
+        if i + 1 < len(boxes):
+            pts.append(complex(b.re_hi, boxes[i + 1].im_lo))
+    for b in reversed(boxes):
+        pts.append(complex(b.re_hi, b.im_hi))
+        pts.append(complex(b.re_lo, b.im_hi))
+    pts.append(pts[0])
+    cleaned = [pts[0]]
+    for p in pts[1:]:
+        if p != cleaned[-1]:
+            cleaned.append(p)
+    return np.asarray(cleaned, dtype=complex)
+
+
+@pytest.mark.parametrize("region", [SearchRegion(4.0, 8.0, 0.3, 0.9),
+                                    SearchRegion(4.0, 8.0, 0.0, 0.9),
+                                    SearchRegion(100.0, 120.0, 0.05, 0.35),
+                                    SearchRegion(100.0, 120.0, 0.0, 0.35)])
+@pytest.mark.parametrize("shift", [0.0, 0.137, 0.5])
+def test_staircase_outline_matches_joint_loop(region, shift):
+    # shifted and unshifted columns, a flat top at nu_min = 0 (where the
+    # top corners sit at Im -0.0), one column, and a run cut from the middle
+    for width in (0.2, 0.31, 1.7, 50.0):
+        boxes = resonances._column_boxes(region, width, shift * width)
+        for run in (boxes, boxes[1:4]):
+            if not run:
+                continue
+            got = resonances._staircase_vertices(run)
+            want = reference_staircase_vertices(run)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_scan_of_a_strip_down_to_the_real_axis():
+    # nu_min = 0: the columns' tops lie on Im 0; a zero just below the axis
+    # is found, and one just above it is not counted
+    z0, z1 = 5.13 - 0.8j, 6.61 - 0.02j
+    h = poly_handle(z0, z1, 4.7 + 0.05j)
+    rs = scan_strip(None, SearchRegion(4.0, 8.0, 0.0, 0.8), char_fn=h)
+    got = rs.lambdas()
+    assert got.size == 2 and rs.total_winding_audited == 2
+    assert abs(got[0] - z0) < 1e-9 and abs(got[1] - z1) < 1e-9
 
 
 def test_scan_grid_offset_stability():
@@ -538,14 +601,14 @@ def test_scan_grid_offset_stability():
 
 
 def test_scan_without_derivative_names_the_newton_failure():
-    # Newton fails in every ready box, so the scan splits down to the
-    # smallest box; the error says why Newton failed there
-    h = FunctionHandle(poly_handle(5.13 - 0.8j).values)
-    with pytest.raises(NoConvergence, match="cannot localise zero") as info:
+    # the first Newton batch cannot run, and that ends the scan at once
+    # instead of splitting every box down to the smallest
+    h = Counted(FunctionHandle(poly_handle(5.13 - 0.8j).values))
+    with pytest.raises(NoConvergence) as info:
         scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8), char_fn=h)
-    assert type(info.value.__cause__) is NoConvergence
-    assert str(info.value.__cause__) == ("no derivative available for Newton "
-                                         "refinement")
+    assert f"{type(info.value).__name__}: {info.value}" == (
+        "NoConvergence: no derivative available for Newton refinement")
+    assert h.calls <= 5
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, True, "7", None])

@@ -12,8 +12,15 @@ a run, and each split pass probes the split lines of every box it splits
 in one evaluation and walks all the halves together, so each refinement
 round evaluates the new points of every live contour at once, and
 re-tests only the steps it split.  Each box is still decided on its own
-samples and iterates alone.  Every subdivision and every run are
-audited: windings must be conserved exactly.
+samples and iterates alone.  Initial samples that an earlier walk of
+the scan took at the same points are handed on, not evaluated again: a
+half takes the values of the side it keeps whole from its box's walk and
+those of its split side from the split-line probe, and a run's outline
+takes its bottom and top from the column walk, each at a point bit for
+bit equal to the one evaluated.  As values is batch-invariant, every walk
+consumes the very samples and values it would evaluate alone.  Every
+subdivision, every run and every cut between two runs are audited:
+windings must be conserved exactly.
 """
 from __future__ import annotations
 
@@ -170,6 +177,15 @@ def _values(f, pts: np.ndarray) -> np.ndarray:
                            for i in range(0, pts.size, MAX_BATCH_POINTS)])
 
 
+def _fill(f, out: np.ndarray, path, t: np.ndarray, owner: np.ndarray,
+          todo: np.ndarray) -> None:
+    """out[todo] = f.values(path(t[todo], owner[todo])) in the values calls
+    _values would make, each call's points computed as it is made."""
+    for i in range(0, todo.size, MAX_BATCH_POINTS):
+        at = todo[i:i + MAX_BATCH_POINTS]
+        out[at] = f.values(path(t[at], owner[at]))
+
+
 def _checked(results: list) -> list:
     """``results`` of a batch call, or the first exception among them raised."""
     for r in results:
@@ -258,15 +274,44 @@ def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
     return winding_number(f, path_fn, nseg, tol)
 
 
-def _count_zeros(f, boxes: list[Box], tol: tol_mod.Tolerances) -> list:
-    """count_zeros of every box, in lock-step: the int or exception of each."""
-    corners = np.array([b.corners() for b in boxes], dtype=complex).reshape(-1, 5)
+def _count_zeros(f, boxes: list[Box], tol: tol_mod.Tolerances,
+                 f0: np.ndarray | None = None) -> list:
+    """count_zeros of every box, in lock-step: the int or exception of each.
+
+    f0, if given, receives the round-0 values (see _winding_numbers): box
+    k's samples are row k of a (len(boxes), 4 p + 1) grid, side s at
+    entries s p to s p + p (p = tol.winding_initial_per_segment).
+    """
     grid = _initial_grid(4, None, tol)
-    return _winding_numbers(f, _polylines(corners), [grid] * len(boxes), tol)
+    return _winding_numbers(f, _polylines(_corners(boxes)), [grid] * len(boxes),
+                            tol, f0)
+
+
+def _bounds(boxes: list[Box]) -> np.ndarray:
+    """(re_lo, re_hi, im_lo, im_hi) of every box, as the rows of one array."""
+    return np.array([(b.re_lo, b.re_hi, b.im_lo, b.im_hi) for b in boxes],
+                    dtype=float).reshape(-1, 4)
+
+
+def _corners(boxes: list[Box]) -> np.ndarray:
+    """Box.corners() of every box, bit for bit, as the rows of one array."""
+    b = _bounds(boxes)
+    c = np.empty((len(b), 5), dtype=complex)
+    c.real, c.imag = b[:, [0, 1, 1, 0, 0]], b[:, [2, 2, 3, 3, 2]]
+    return c
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the complex arrays a and b hold the same number bit for bit
+    (== would take -0.0 for 0.0)."""
+    def bits(z):
+        return np.ascontiguousarray(z).view(np.uint64).reshape(z.shape + (2,))
+    return (bits(a) == bits(b)).all(axis=-1)
 
 
 def _winding_numbers(f, path, grids: list[np.ndarray],
-                     tol: tol_mod.Tolerances) -> list:
+                     tol: tol_mod.Tolerances, f0: np.ndarray | None = None,
+                     known: np.ndarray | None = None) -> list:
     """winding_number of several closed contours, walked in lock-step.
 
     Contour k is t -> path(t, k) for t in [0, grids[k][-1]], sampled first
@@ -275,6 +320,15 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
     the ZeroNearBoundary of each contour.  All contours walk together, so
     the caller bounds the samples in flight (a scan walks one run of
     columns at a time); _values caps each values call.
+
+    f0, if given, is the round-0 buffer: one entry per sample of the
+    concatenated grids.  The walk evaluates the entries that ``known`` does
+    not mark (every entry if known is None) into it, and the caller may
+    read the values there afterwards; a caller marks an entry known only
+    when it holds f at a point bit for bit equal to that sample's, so the
+    walk consumes exactly the values it would evaluate.  The last entry of
+    each contour ends up holding its first entry's value, as the walk
+    closes every contour on its first sample.
 
     The walk holds steps (t0, t1, f0, f1, owner) in contour-then-t order,
     and one loop body runs every round.  It takes the phase increment and
@@ -299,7 +353,11 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
     counts = np.array([g.size for g in grids])
     t0 = np.concatenate(grids)
     owner = np.repeat(np.arange(n), counts)
-    f0 = _values(f, path(t0, owner))
+    if f0 is None:
+        f0 = _values(f, path(t0, owner))
+    else:
+        _fill(f, f0, path, t0, owner,
+              np.arange(t0.size) if known is None else np.flatnonzero(~known))
     # force exact closure so the increments telescope to a clean multiple
     ends = np.cumsum(counts)
     f0[ends - 1] = f0[ends - counts]
@@ -325,7 +383,8 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
         dphi = np.angle(f1 / f0)
         # a sharp magnitude dip between samples can hide an aliased full
         # turn (zero pair hugging the path), so refine on |f| jumps too
-        ratio = np.abs(f1) / np.abs(f0)
+        ratio = np.abs(f1)
+        ratio /= np.abs(f0)
         suspicious = ((np.abs(dphi) >= tol.winding_max_phase_step)
                       | (ratio >= tol.winding_max_mag_step)
                       | (ratio <= 1.0 / tol.winding_max_mag_step))
@@ -440,30 +499,67 @@ _SPLIT_FRACTIONS = (0.5, 0.57, 0.43, 0.65, 0.35)
 
 
 def _lines_clear(f, lines: list[tuple[Box, int, float]],
-                 tol: tol_mod.Tolerances) -> np.ndarray:
+                 tol: tol_mod.Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether each candidate split line (box, axis, frac) is clear of
-    zeros hugging it, probed for all lines in one values call.
+    zeros hugging it, probed for all lines in one values call; and the
+    probe's points and values, one row of tol.split_line_samples per line.
 
     A zero within a small fraction of the box scale of the line shows up
     as a deep dip of |f| along it; phase tracking on the two halves can
     alias a full turn there, so such lines are rejected up front.
+
+    The probe samples a line with the walk's own path formula,
+    va*(1 - t) + vb*t at t = j / (split_line_samples - 1), from corner va
+    to corner vb of the split side of the line's first half (the left
+    half's right side, or the bottom half's top side).  So at the defaults
+    (t = j/32) its even samples are bit for bit the points where both
+    halves sample their split side, the first half forward and the second
+    backward (IEEE addition commutes), and _split_boxes hands them on.
     """
     m = tol.split_line_samples
-    across = np.array([axis == 0 for _, axis, _ in lines], dtype=bool)
-    cut = np.array([b.re_lo + frac * b.width if axis == 0 else
-                    b.im_lo + frac * b.height for b, axis, frac in lines])
-    lo = np.array([b.im_lo if axis == 0 else b.re_lo for b, axis, _ in lines])
-    hi = np.array([b.im_hi if axis == 0 else b.re_hi for b, axis, _ in lines])
-    along = np.linspace(lo, hi, m, axis=1)
-    pts = np.empty((len(lines), m), dtype=complex)
-    pts[across] = cut[across, None] + 1j * along[across]
-    pts[~across] = along[~across] + 1j * cut[~across, None]
-    v = np.abs(_values(f, pts.ravel())).reshape(len(lines), m)
+    b = _bounds([box for box, _, _ in lines])
+    along = np.array([axis == 0 for _, axis, _ in lines], dtype=bool)
+    frac = np.array([frac for _, _, frac in lines], dtype=float)
+    # Box.split's cut: at Re re_lo + frac * width, or at Im im_lo + frac * height
+    lo, hi = np.where(along, b[:, 0], b[:, 2]), np.where(along, b[:, 1], b[:, 3])
+    cut = lo + frac * (hi - lo)
+    ends = np.empty((len(lines), 2), dtype=complex)
+    ends.real = np.where(along[:, None], cut[:, None], b[:, [1, 0]])
+    ends.imag = np.where(along[:, None], b[:, [2, 3]], cut[:, None])
+    t = np.linspace(0.0, 1.0, m)
+    pts = ends[:, :1] * (1.0 - t) + ends[:, 1:] * t
+    values = _values(f, pts.ravel()).reshape(pts.shape)
+    v = np.abs(values)
     sound = np.isfinite(v).all(axis=1) & (v > tol.value_floor).all(axis=1)
-    return sound & (v.min(axis=1) > tol.split_dip_rel_floor * np.median(v, axis=1))
+    clear = sound & (v.min(axis=1) > tol.split_dip_rel_floor * np.median(v, axis=1))
+    return clear, pts, values
 
 
-def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances) -> list:
+def _whole_sides(boxes: list[Box]) -> np.ndarray:
+    """The side of each box that its first and its second half keep whole.
+
+    A box at least as wide as high is cut at a Re (axis 0): its left half
+    keeps side 3 and its right half side 1.  Else it is cut at an Im: its
+    bottom half keeps side 0 and its top half side 2.  Each half's split
+    side is the side the other half keeps.  A kept side has the box's two
+    corners and grid, so its points are the box's bit for bit.
+    """
+    along = np.array([b.width >= b.height for b in boxes], dtype=bool)
+    return np.where(along[:, None], [3, 1], [0, 2]).reshape(-1, 2)
+
+
+def _kept_values(f0: np.ndarray, rows: np.ndarray, boxes: list[Box]) -> np.ndarray:
+    """What the boxes hand their halves: the round-0 values of the sides the
+    halves keep whole (_whole_sides), (len(boxes), 2, p + 1), copied out of
+    the given rows of f0, a round-0 buffer of one row of 4 p + 1 per box
+    walked (_count_zeros)."""
+    p = (f0.shape[1] - 1) // 4
+    e = _whole_sides(boxes)[:, :, None] * p + np.arange(p + 1)
+    return f0[np.asarray(rows, dtype=int)[:, None, None], e]
+
+
+def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
+                 sides: np.ndarray | None = None):
     """Split every (box, winding) item in two along a clear line, in
     lock-step passes; the halves' windings must add up to the box's.
 
@@ -472,51 +568,96 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances) -> li
     walk; a box whose line or walk fails tries its next _SPLIT_FRACTIONS
     entry in the next pass.  Returns the two (half, winding) pairs or the
     exception of each item.
+
+    A half's walk does not evaluate again the samples its split side shares
+    with the probe (bit for bit, which one compare checks), nor, when
+    ``sides`` is given, the side it keeps whole: sides[i] is item i's
+    _kept_values.  Every box must then lie right of the imaginary axis, as
+    a scan's do, so that a corner sampled as the start of the next side,
+    c*1 + d*0, is the same bits for any such neighbour d.  With ``sides``
+    the call returns the results and the _kept_values of every half that
+    winds, in the order of the results.
     """
     out: list = [None] * len(items)
     last_exc: list[Exception | None] = [None] * len(items)
     pending = list(range(len(items)))
+    p, m = tol.winding_initial_per_segment, tol.split_line_samples
+    grid = _initial_grid(4, None, tol)
+    r = np.arange(p + 1)
+    # the split-side samples k/p that the probe takes, at j/(m - 1): the
+    # first half walks the line forward, the second backward
+    k = r[r * (m - 1) % p == 0]
+    j = np.stack((k * (m - 1) // p, m - 1 - k * (m - 1) // p))
+    keys, kept = [np.zeros(0, dtype=int)], [np.zeros((0, 2, p + 1), dtype=complex)]
     for frac in _SPLIT_FRACTIONS:
         if not pending:
             break
         boxes = [items[i][0] for i in pending]
         lines = [(b, 0 if b.width >= b.height else 1, frac) for b in boxes]
-        clear = _lines_clear(f, lines, tol)
-        halves = [half for (box, axis, _), ok in zip(lines, clear) if ok
-                  for half in box.split(axis, frac)]
-        counts = iter(zip(halves, _count_zeros(f, halves, tol)))
-        for i, (box, axis, _), ok in zip(pending, lines, clear):
-            if ok:
-                (b1, w1), (b2, w2) = next(counts), next(counts)
-                failed = next((w for w in (w1, w2) if isinstance(w, Exception)), None)
-                if failed is None:
-                    w = items[i][1]
-                    out[i] = ((b1, w1), (b2, w2)) if w1 + w2 == w else AuditError(
-                        f"winding not conserved under split: {w} -> {w1} + {w2} "
-                        f"(box {box}, axis {axis}, frac {frac})"
-                    )
-                    continue
-                last_exc[i] = failed
+        clear, probe, probed = _lines_clear(f, lines, tol)
+        go = np.flatnonzero(clear)
+        split = np.asarray(pending, dtype=int)[go]
+        halves = [half for q in go for half in boxes[q].split(lines[q][1], frac)]
+        whole = _whole_sides([boxes[q] for q in go])
+        f0 = np.empty((go.size, 2, grid.size), dtype=complex)
+        known = np.zeros(f0.shape, dtype=bool)
+        row, half = np.arange(go.size)[:, None, None], np.arange(2)[None, :, None]
+        if sides is not None:
+            at = (row, half, whole[:, :, None] * p + r)
+            f0[at], known[at] = sides[split], True
+        # the split side: every probe sample is written, the equal ones known
+        path = _polylines(_corners(halves))
+        at = (row, half, whole[:, ::-1, None] * p + k)
+        f0[at] = probed[go[:, None, None], j]
+        known[at] = _same_bits(path(grid[at[2]], 2 * row + half),
+                               probe[go[:, None, None], j])
+        del probe, probed, at   # only f0 and known go into the walk
+        counts = _winding_numbers(f, path, [grid] * len(halves), tol,
+                                  f0.reshape(-1), known.reshape(-1))
+        walked = iter(zip(halves, counts))
+        for q, i in zip(go, split):
+            box, axis, _ = lines[q]
+            (b1, w1), (b2, w2) = next(walked), next(walked)
+            failed = next((w for w in (w1, w2) if isinstance(w, Exception)), None)
+            if failed is None:
+                w = items[i][1]
+                out[i] = ((b1, w1), (b2, w2)) if w1 + w2 == w else AuditError(
+                    f"winding not conserved under split: {w} -> {w1} + {w2} "
+                    f"(box {box}, axis {axis}, frac {frac})"
+                )
+                continue
+            last_exc[i] = failed
+        if sides is not None:
+            live = np.array([h for h, w in enumerate(counts)
+                             if w and isinstance(out[split[h // 2]], tuple)], dtype=int)
+            keys.append(2 * split[live // 2] + live % 2)
+            kept.append(_kept_values(f0.reshape(-1, grid.size), live,
+                                     [halves[h] for h in live]))
         pending = [i for i in pending if out[i] is None]
     for i in pending:
         out[i] = ZeroNearBoundary(f"all split lines rejected for box {items[i][0]}")
         out[i].__cause__ = last_exc[i]
-    return out
+    if sides is None:
+        return out
+    return out, np.concatenate(kept)[np.argsort(np.concatenate(keys))]
 
 
-def _scan_columns(f, boxes: list[Box], newton_scale: float,
+def _scan_columns(f, boxes: list[Box], counts: list[int], sides: np.ndarray,
+                  newton_scale: float,
                   tol: tol_mod.Tolerances) -> list[tuple[Box, int, list[Resonance]]]:
     """(box, winding, refined zeros) of every column box, in rounds.
 
-    One lock-step walk counts every column box.  Each round then makes one
-    Newton batch: from the centre of every one-zero box at Newton scale,
-    and of every box below tol.multiplicity_diameter that still winds more
-    than once (one zero of that multiplicity, within its 4x box).  Every
-    other box, and every one-zero box whose start failed, is split.
+    ``counts`` are the column boxes' windings and ``sides`` what each hands
+    its halves (_kept_values).  Each round makes one Newton batch: from the
+    centre of every one-zero box at Newton scale, and of every box below
+    tol.multiplicity_diameter that still winds more than once (one zero of
+    that multiplicity, within its 4x box).  Every other box, and every
+    one-zero box whose start failed, is split, and hands its halves the
+    values of the sides they keep whole.
     """
-    counts = _checked(_count_zeros(f, boxes, tol))
     found: list[list[Resonance]] = [[] for _ in boxes]
     work = [(col, box, w) for col, (box, w) in enumerate(zip(boxes, counts)) if w]
+    sides = sides[[col for col, _, _ in work]]
     while work:
         starts = [(b.center, b, 1)
                   if wb == 1 and max(b.width, b.height) <= 1.6 * newton_scale else
@@ -525,7 +666,8 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
                   for _, b, wb in work]
         refined = iter(_refine_roots(f, [s for s in starts if s], tol))
         split: list[tuple[int, Box, int]] = []
-        for (col, b, wb), start in zip(work, starts):
+        rows: list[int] = []
+        for row, ((col, b, wb), start) in enumerate(zip(work, starts)):
             newton = next(refined) if start else None
             if isinstance(newton, tuple):
                 lam, resid = newton
@@ -536,8 +678,10 @@ def _scan_columns(f, boxes: list[Box], newton_scale: float,
             if b.diameter < tol.min_box_diameter:
                 raise NoConvergence(f"cannot localise zero inside {b}") from newton
             split.append((col, b, wb))   # a failed one-zero start splits too
-        halves = _checked(_split_boxes(f, [(b, wb) for _, b, wb in split], tol))
-        work = [(col, sb, sw) for (col, _, _), pair in zip(split, halves)
+            rows.append(row)
+        sides = sides[rows]
+        halves, sides = _split_boxes(f, [(b, wb) for _, b, wb in split], tol, sides)
+        work = [(col, sb, sw) for (col, _, _), pair in zip(split, _checked(halves))
                 for sb, sw in pair if sw]
     return list(zip(boxes, counts, found))
 
@@ -573,27 +717,77 @@ def _column_boxes(region: SearchRegion, width_hint: float,
     return boxes
 
 
+def _staircase(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counterclockwise outline of the union of column boxes, given their
+    corners (rows of Box.corners(), left to right): the bottom corners left
+    to right, then the top corners right to left, closed, without
+    consecutive duplicates (zero-length joints).  Also, for each column,
+    the index of the outline segment along its bottom and its top side."""
+    n = len(corners)
+    pts = np.concatenate((corners[:, :2].ravel(), corners[::-1, 2:4].ravel(),
+                          corners[:1, 0]))
+    keep = np.r_[True, pts[1:] != pts[:-1]]
+    # the listed corner that ends each column's bottom and top side
+    ends = np.column_stack((2 * np.arange(n) + 1, 4 * n - 1 - 2 * np.arange(n)))
+    return pts[keep], np.cumsum(keep)[ends] - 2
+
+
 def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
-    """Counterclockwise outline of the union of column boxes: the bottom
-    corners left to right, then the top corners right to left, closed."""
-    bottom = [complex(x, b.im_lo) for b in boxes for x in (b.re_lo, b.re_hi)]
-    top = [complex(x, b.im_hi) for b in reversed(boxes) for x in (b.re_hi, b.re_lo)]
-    pts = np.array(bottom + top + bottom[:1], dtype=complex)
-    # drop consecutive duplicates (zero-length joints); the path stays closed
-    return pts[np.r_[True, pts[1:] != pts[:-1]]]
+    """The vertices of the staircase outline of column boxes (_staircase)."""
+    return _staircase(_corners(boxes))[0]
+
+
+def _outline_samples(boxes: list[Box], sides: np.ndarray,
+                     tol: tol_mod.Tolerances) -> tuple[np.ndarray, ...]:
+    """The vertices, initial grid, round-0 buffer and known mask of the walk
+    of a run's staircase outline, given what its columns hand their halves
+    (_kept_values).
+
+    The outline's bottom and top segments are the columns' sides 0 and 2:
+    the same corners (checked bit for bit) and, when 1/p is exact (p =
+    tol.winding_initial_per_segment a power of two), the same k/p grid.
+    A column cut across keeps exactly those two sides for its halves, so
+    the walk takes their values from ``sides`` and evaluates the joints,
+    the end sides and the sides of wider columns only.  Every column box
+    lies right of the imaginary axis (see _split_boxes).
+    """
+    p = tol.winding_initial_per_segment
+    corners = _corners(boxes)
+    vertices, segments = _staircase(corners)
+    grid = _initial_grid(vertices.size - 1, None, tol)
+    f0 = np.empty(grid.size, dtype=complex)
+    known = np.zeros(grid.size, dtype=bool)
+    if not p & (p - 1):
+        same = ((_whole_sides(boxes) == [0, 2])
+                & _same_bits(vertices[segments], corners[:, [0, 2]])
+                & _same_bits(vertices[segments + 1], corners[:, [1, 3]]))
+        at = segments[same][:, None] * p + np.arange(p + 1)
+        f0[at], known[at] = sides[same], True
+    return vertices, grid, f0, known
 
 
 def _scan_run(f, boxes: list[Box], newton_scale: float,
-              tol: tol_mod.Tolerances) -> tuple[list[Resonance], int]:
-    """The zeros of one run of columns and the audited winding of the run.
+              tol: tol_mod.Tolerances) -> tuple[list[Resonance], int, list[int]]:
+    """The zeros of one run of columns, the audited winding of the run, and
+    the winding of each column.
 
-    The column windings must add up to the winding of the run's staircase
-    outline, and each column must hold its winding in zeros clear of the
-    boundary guard.
+    One lock-step walk counts every column box; of its round-0 values only
+    what the columns hand their halves (_kept_values) lives on, through
+    the rounds, for the run's outline, and it is dropped before that walk.
+    The column windings must add up to the winding of the outline, and
+    each column must hold its winding in zeros clear of the boundary guard.
     """
-    results = _scan_columns(f, boxes, newton_scale, tol)
+    p = tol.winding_initial_per_segment
+    f0 = np.empty((len(boxes), 4 * p + 1), dtype=complex)
+    counts = _checked(_count_zeros(f, boxes, tol, f0.reshape(-1)))
+    sides = _kept_values(f0, np.arange(len(boxes)), boxes)
+    del f0
+    results = _scan_columns(f, boxes, counts, sides, newton_scale, tol)
     total_cols = sum(w for _, w, _ in results)
-    outer = winding_number(f, *polyline_path(_staircase_vertices(boxes)), tol)
+    vertices, grid, f0, known = _outline_samples(boxes, sides, tol)
+    del sides
+    outer = _checked(_winding_numbers(f, _polylines(vertices[None, :]), [grid],
+                                      tol, f0, known))[0]
     if outer != total_cols:
         raise AuditError(
             f"winding audit failed on the columns over Re [{boxes[0].re_lo}, "
@@ -607,7 +801,28 @@ def _scan_run(f, boxes: list[Box], newton_scale: float,
             if b.boundary_distance(r.lam) < tol.boundary_guard:
                 raise ZeroNearBoundary(f"refined zero {r.lam} violates the "
                                        "boundary guard")
-    return [r for _, _, found in results for r in found], outer
+    return ([r for _, _, found in results for r in found], outer,
+            [w for _, w, _ in results])
+
+
+def _audit_seams(f, boxes: list[Box], run: int, windings: list[int],
+                 tol: tol_mod.Tolerances) -> None:
+    """Where two runs meet, the two columns beside the cut must wind as
+    much as the staircase outline of their union, else AuditError.
+
+    Each run's outline walks the cut side with the samples of the column
+    beside it, so no run audit covers that side; the union's outline
+    leaves the shared stretch of the cut inside and walks on samples of
+    its own.
+    """
+    for i in range(run, len(boxes), run):
+        union = winding_number(f, *polyline_path(_staircase_vertices(boxes[i - 1:i + 1])),
+                               tol)
+        if union != windings[i - 1] + windings[i]:
+            raise AuditError(
+                f"winding audit failed where two runs meet at Re {boxes[i].re_lo}: "
+                f"columns {windings[i - 1]} + {windings[i]}, their outline {union}"
+            )
 
 
 def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
@@ -631,11 +846,14 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     3,125 at the defaults, so that a run's staircase outline (about 64
     initial samples a column) takes half the point budget, as gap_report's
     band pieces do; but at least 2, as the outline of one column is that
-    column's own contour, walked again.  The column windings of each run must add up to the
-    winding of its outline, else AuditError.  Where two runs meet, a
-    column and a run outline walk the same side with the same samples, so
-    the audit does not cover those sides.  Any boundary conflict restarts
-    the whole scan on a shifted grid (deterministic shifts).
+    column's own contour, walked again.  The column windings of each run
+    must add up to the winding of its outline, and where two runs meet,
+    the windings of the two columns beside the cut must add up to the
+    winding of their union's outline, else AuditError.  That outline is
+    walked on samples of its own; the split halves and the run outlines
+    take over the values earlier walks of their run took at the same
+    points (see the module docstring).  Any boundary conflict restarts the
+    whole scan on a shifted grid (deterministic shifts).
     """
     if not _is_count(seed, least=0):
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
@@ -668,6 +886,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         try:
             runs = [_scan_run(f, boxes[i:i + run], width, tol)
                     for i in range(0, len(boxes), run)]
+            _audit_seams(f, boxes, run, [w for _, _, ws in runs for w in ws], tol)
             break
         except ZeroNearBoundary as exc:
             last_exc = exc
@@ -675,7 +894,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         raise ZeroNearBoundary(
             f"scan failed after {tol.grid_retry_shifts} grid shifts"
         ) from last_exc
-    items = sorted((r for found, _ in runs for r in found),
+    items = sorted((r for found, _, _ in runs for r in found),
                    key=lambda r: (r.lam.real, r.lam.imag))
     if with_null_vectors and spec is not None:
         vectors = monodromy.null_vectors(spec, [r.lam for r in items],
@@ -685,4 +904,4 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
                          else tuple(sorted(mv.null_mass().items())))
                  for r, mv in zip(items, vectors)]
     return ResonanceSet(items=tuple(items), region=region,
-                        total_winding_audited=sum(outer for _, outer in runs))
+                        total_winding_audited=sum(outer for _, outer, _ in runs))

@@ -67,11 +67,12 @@ class Recorded:
         return self.f.values(lam)
 
 
-def reference_winding_numbers(f, path, grids, tol):
+def reference_winding_numbers(f, path, grids, tol, f0=None):
     """resonances._winding_numbers as a full recompute: every round re-tests
     every sample of every live contour and inserts the midpoints into
     full-length arrays.  The step walk must reproduce its windings, its
-    exceptions and its values batches."""
+    exceptions and its values batches.  A round-0 buffer f0, if given,
+    receives the initial values, as in the step walk."""
     n = len(grids)
     out = [None] * n
     span = np.array([g[-1] for g in grids])
@@ -79,6 +80,9 @@ def reference_winding_numbers(f, path, grids, tol):
     order = np.arange(n)
     counts = np.array([g.size for g in grids])
     vals = _values(f, path(t, np.repeat(order, counts)))
+    if f0 is not None:
+        f0[:] = vals
+        vals = f0
     ends = np.cumsum(counts)
     vals[ends - 1] = vals[ends - counts]
     walking = np.ones(n, dtype=bool)
@@ -440,7 +444,7 @@ def test_guarded_split_walk_failure_tries_next_line():
     h = poly_handle(-1e-15 + 0j, 1.3 - 0.2j)
     box = Box(0, 2, -0.5, 0.5)
     assert _lines_clear(h, [(box, 0, frac) for frac in _SPLIT_FRACTIONS],
-                        DEFAULT).all()
+                        DEFAULT)[0].all()
     with pytest.raises(ZeroNearBoundary,
                        match="all split lines rejected") as info:
         _checked(_split_boxes(h, [(box, 1)], DEFAULT))
@@ -472,6 +476,117 @@ def test_lockstep_split_matches_guarded_split_box_by_box():
     assert got[2].__cause__ is None
     assert str(got[3].__cause__) == "contour refinement below resolution floor"
     assert got[5] == ((Box(50, 51, -1.0, 0.0), 1), (Box(50, 51, 0.0, 1.0), 0))
+
+
+# ---------------------------------------------------------------------------
+# samples handed down
+
+
+SHARING = [{}, {"winding_initial_per_segment": 8}, {"split_line_samples": 21}]
+
+
+@pytest.mark.parametrize("overrides", SHARING)
+def test_probe_samples_are_the_halves_split_side_points(overrides):
+    # probe sample j = k (m - 1) / p is the first half's split-side sample
+    # k and the second half's sample p - k, bit for bit: at the defaults
+    # every even probe sample, on every side the halves split
+    tol = with_overrides(overrides)
+    p, m = tol.winding_initial_per_segment, tol.split_line_samples
+    k = np.array([k for k in range(p + 1) if k * (m - 1) % p == 0])
+    j = k * (m - 1) // p
+    assert k.size == (17 if not overrides else 9 if p == 8 else 5)
+    grid = np.linspace(0.0, 4.0, 4 * p + 1)
+    axes = set()
+    for region in (SearchRegion(100.0, 120.0, 0.05, 0.35),
+                   SearchRegion(100.0, 120.0, 0.0, 0.35)):    # tops at Im -0.0
+        for width, shift in ((0.157, 0.0), (0.157, 0.137), (3.0, 0.0), (3.0, 0.137)):
+            boxes = resonances._column_boxes(region, width, shift * width)
+            for frac in _SPLIT_FRACTIONS:
+                lines = [(b, 0 if b.width >= b.height else 1, frac) for b in boxes]
+                _, probe, _ = _lines_clear(poly_handle(0j), lines, tol)
+                for (box, axis, _), pts in zip(lines, probe):
+                    axes.add(axis)
+                    first, second = box.split(axis, frac)
+                    # left half's side 1 and right half's side 3, or the
+                    # bottom half's side 2 and top half's side 0
+                    for half, side, at in ((first, 1 + axis, j),
+                                           (second, 3 * (1 - axis), m - 1 - j)):
+                        path, _ = polyline_path(half.corners())
+                        got = path(grid[side * p + k])
+                        assert got.tobytes() == pts[at].tobytes()
+    assert axes == {0, 1}
+
+
+def bit_multiset(batches):
+    """The complex points of ``batches`` as a sorted list of bit patterns."""
+    pts = np.concatenate([np.ravel(b) for b in batches] + [np.zeros(0, complex)])
+    return sorted(np.ascontiguousarray(pts, dtype=complex)
+                  .view(np.uint64).reshape(-1, 2).tolist())
+
+
+def checked_walks(monkeypatch):
+    """Make every walk that is handed samples also walk fresh, with nothing
+    handed down: both give the same windings and exception messages, each
+    handed-down value is f at its sample bit for bit, and the points the
+    walk evaluates plus the points it is handed are the fresh walk's
+    points, as multisets of bit patterns.  Returns the count of points
+    handed down, to split halves and to run outlines."""
+    walk = resonances._winding_numbers
+    handed = {"halves": 0, "outline": 0}
+
+    def checked(f, path, grids, tol, f0=None, known=None):
+        if known is None:
+            return walk(f, path, grids, tol, f0, known)
+        t = np.concatenate(grids)
+        owner = np.repeat(np.arange(len(grids)), [g.size for g in grids])
+        given = path(t[known], owner[known])
+        assert f0[known].tobytes() == f.values(given).tobytes()
+        fresh, alone = Recorded(f), Recorded(f)
+        want = walk(fresh, path, grids, tol)
+        got = walk(alone, path, grids, tol, f0, known)
+        assert [type(g) for g in got] == [type(w) for w in want]
+        assert [str(g) for g in got] == [str(w) for w in want]
+        assert (bit_multiset(alone.batches + [given])
+                == bit_multiset(fresh.batches))
+        handed["outline" if len(grids) == 1 else "halves"] += given.size
+        return got
+
+    monkeypatch.setattr(resonances, "_winding_numbers", checked)
+    return handed
+
+
+@pytest.mark.parametrize("overrides", SHARING + [{"winding_initial_per_segment": 12,
+                                                   "split_line_samples": 37}])
+def test_handed_down_samples_are_the_samples_a_fresh_walk_evaluates(
+        monkeypatch, overrides):
+    # every split pass and run outline of a scan, with a flat top at
+    # nu_min = 0 too (dropped joints): halves inherit their box's kept side
+    # and the probe's samples, outlines the columns' sides; with 12 samples
+    # a side (1/12 inexact) the outline is not handed its samples, and the
+    # probe (at j/36) shares fewer points than the index relation names
+    tol = with_overrides(overrides)
+    handed = checked_walks(monkeypatch)
+    zs = (4.41 - 0.9j, 5.13 - 0.8j, 5.87 - 1.1j, 6.61 - 0.02j, 6.93 - 1.3j,
+          6.95 - 1.28j, 7.02 - 1.2j)
+    for region in (SearchRegion(4.0, 8.0, 0.3, 0.9),
+                   SearchRegion(4.0, 8.0, 0.0, 0.9),
+                   SearchRegion(4.0, 8.0, 0.5, 0.56)):   # wider than high
+        want = [z for z in zs
+                if region.nu_min <= -z.imag / math.log(z.real) <= region.nu_max]
+        rs = scan_strip(None, region, tol=tol, char_fn=poly_handle(*zs))
+        assert np.allclose(rs.lambdas(), sorted(want, key=lambda z: z.real),
+                           atol=1e-9)
+    dyadic = tol.winding_initial_per_segment in (8, 16)
+    assert handed["halves"] > 0 and (handed["outline"] > 0) == dyadic
+
+
+def test_handed_down_samples_of_a_characteristic_function(monkeypatch,
+                                                           triangle_345):
+    handed = checked_walks(monkeypatch)
+    region = SearchRegion(100.0, 104.0, 0.05, 0.35)
+    rs = scan_strip(triangle_345, region, char_fn=CharFunction(triangle_345))
+    assert len(rs.items) == rs.total_winding_audited > 4
+    assert handed["halves"] > 0 and handed["outline"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +884,43 @@ def test_scan_audits_every_run(triangle_345, monkeypatch):
         f"{runs[1][-1].re_hi}]: columns total ")
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_scan_does_not_lose_a_zero_pair_hugging_a_run_cut(gap, sign):
+    # runs of 4 columns cut the strip at Re 5, 6 and 7; two zeros sit just
+    # right or just left of the cut at Re 6.  The scan finds every zero or
+    # raises AuditError.  With both zeros right of the cut by 1e-3, the
+    # columns and the run outlines walk the cut with the same samples and
+    # agree on a lost zero; only the union of the two columns beside the
+    # cut sees it.
+    zs = (6.0 + sign * gap - 1.0j, 6.0 + sign * 2 * gap - 1.0j, 4.41 - 0.9j)
+    tol = with_overrides({"winding_max_points": 8 * 16 * 4})
+    try:
+        rs = scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.9), tol=tol,
+                        char_fn=poly_handle(*zs))
+    except AuditError as exc:
+        if (gap, sign) == (1e-3, 1):
+            assert str(exc) == ("winding audit failed where two runs meet at "
+                                "Re 6.0: columns 0 + 1, their outline 2")
+    else:
+        assert (gap, sign) != (1e-3, 1)
+        assert np.allclose(rs.lambdas(), sorted(zs, key=lambda z: z.real),
+                           atol=1e-9)
+
+
 def test_scan_evaluates_the_same_points_in_few_values_calls(triangle_345):
-    # 515,224 points, as the scan evaluated them when it walked one contour
-    # per values call (11,139 calls); one lock-step walk for the columns of
-    # the scan's one run and one a split pass take the same points in 190
+    # 330,808 points: the 515,224 the scan evaluated when it walked one
+    # contour per values call (11,139 calls), less the samples a half, the
+    # probe or the run outline would evaluate again (the halves' kept and
+    # split sides, the outline's bottom and top); one lock-step walk for the
+    # columns of the scan's one run and one a split pass take them in 147
     cf = char_function(triangle_345)
     counted = Counted(cf)
     before = cf.n_evals
     rs = scan_strip(triangle_345, SearchRegion(100.0, 300.0, 0.05, 0.35),
                     char_fn=counted)
     assert len(rs.items) == 764
-    assert cf.n_evals - before == 515_224
+    assert cf.n_evals - before == 330_808
     assert counted.calls <= 200
 
 

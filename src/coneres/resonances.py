@@ -319,7 +319,8 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
     points and the same checks in the same order.  Returns the winding or
     the ZeroNearBoundary of each contour.  All contours walk together, so
     the caller bounds the samples in flight (a scan walks one run of
-    columns at a time); _values caps each values call.
+    columns at a time); no values call takes more than MAX_BATCH_POINTS
+    points.
 
     f0, if given, is the round-0 buffer: one entry per sample of the
     concatenated grids.  The walk evaluates the entries that ``known`` does
@@ -353,6 +354,10 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
     counts = np.array([g.size for g in grids])
     t0 = np.concatenate(grids)
     owner = np.repeat(np.arange(n), counts)
+    # a walk that is handed no values computes its points at once, which
+    # costs a gap report's long contours fewer path calls; one handed a
+    # buffer (a scan's) computes each call's points as it makes the call,
+    # which bounds the path temporaries of a run's many contours
     if f0 is None:
         f0 = _values(f, path(t0, owner))
     else:
@@ -559,7 +564,7 @@ def _kept_values(f0: np.ndarray, rows: np.ndarray, boxes: list[Box]) -> np.ndarr
 
 
 def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
-                 sides: np.ndarray | None = None):
+                 sides: np.ndarray) -> tuple[list, np.ndarray]:
     """Split every (box, winding) item in two along a clear line, in
     lock-step passes; the halves' windings must add up to the box's.
 
@@ -567,16 +572,15 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
     values call and walks the halves of every clear line in one lock-step
     walk; a box whose line or walk fails tries its next _SPLIT_FRACTIONS
     entry in the next pass.  Returns the two (half, winding) pairs or the
-    exception of each item.
+    exception of each item, and the _kept_values of every half that winds,
+    in the order of the results.
 
     A half's walk does not evaluate again the samples its split side shares
-    with the probe (bit for bit, which one compare checks), nor, when
-    ``sides`` is given, the side it keeps whole: sides[i] is item i's
-    _kept_values.  Every box must then lie right of the imaginary axis, as
-    a scan's do, so that a corner sampled as the start of the next side,
-    c*1 + d*0, is the same bits for any such neighbour d.  With ``sides``
-    the call returns the results and the _kept_values of every half that
-    winds, in the order of the results.
+    with the probe (bit for bit, which one compare checks), nor the side it
+    keeps whole: sides[i] is item i's _kept_values.  Every box must lie
+    right of the imaginary axis, as a scan's do, so that a corner sampled
+    as the start of the next side, c*1 + d*0, is the same bits for any
+    such neighbour d.
     """
     out: list = [None] * len(items)
     last_exc: list[Exception | None] = [None] * len(items)
@@ -602,9 +606,8 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
         f0 = np.empty((go.size, 2, grid.size), dtype=complex)
         known = np.zeros(f0.shape, dtype=bool)
         row, half = np.arange(go.size)[:, None, None], np.arange(2)[None, :, None]
-        if sides is not None:
-            at = (row, half, whole[:, :, None] * p + r)
-            f0[at], known[at] = sides[split], True
+        at = (row, half, whole[:, :, None] * p + r)
+        f0[at], known[at] = sides[split], True
         # the split side: every probe sample is written, the equal ones known
         path = _polylines(_corners(halves))
         at = (row, half, whole[:, ::-1, None] * p + k)
@@ -627,18 +630,15 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
                 )
                 continue
             last_exc[i] = failed
-        if sides is not None:
-            live = np.array([h for h, w in enumerate(counts)
-                             if w and isinstance(out[split[h // 2]], tuple)], dtype=int)
-            keys.append(2 * split[live // 2] + live % 2)
-            kept.append(_kept_values(f0.reshape(-1, grid.size), live,
-                                     [halves[h] for h in live]))
+        live = np.array([h for h, w in enumerate(counts)
+                         if w and isinstance(out[split[h // 2]], tuple)], dtype=int)
+        keys.append(2 * split[live // 2] + live % 2)
+        kept.append(_kept_values(f0.reshape(-1, grid.size), live,
+                                 [halves[h] for h in live]))
         pending = [i for i in pending if out[i] is None]
     for i in pending:
         out[i] = ZeroNearBoundary(f"all split lines rejected for box {items[i][0]}")
         out[i].__cause__ = last_exc[i]
-    if sides is None:
-        return out
     return out, np.concatenate(kept)[np.argsort(np.concatenate(keys))]
 
 
@@ -743,13 +743,12 @@ def _outline_samples(boxes: list[Box], sides: np.ndarray,
     of a run's staircase outline, given what its columns hand their halves
     (_kept_values).
 
-    The outline's bottom and top segments are the columns' sides 0 and 2:
-    the same corners (checked bit for bit) and, when 1/p is exact (p =
-    tol.winding_initial_per_segment a power of two), the same k/p grid.
-    A column cut across keeps exactly those two sides for its halves, so
-    the walk takes their values from ``sides`` and evaluates the joints,
-    the end sides and the sides of wider columns only.  Every column box
-    lies right of the imaginary axis (see _split_boxes).
+    The outline's bottom and top segments run along the columns' sides 0
+    and 2, which a column cut across keeps for its halves.  The walk takes
+    the values of those sides from ``sides`` wherever its sample is bit for
+    bit the column's, which one compare checks, and evaluates the rest:
+    the joints, the end sides, the sides of wider columns, and any sample
+    whose grid point differs from the column's.
     """
     p = tol.winding_initial_per_segment
     corners = _corners(boxes)
@@ -757,12 +756,13 @@ def _outline_samples(boxes: list[Box], sides: np.ndarray,
     grid = _initial_grid(vertices.size - 1, None, tol)
     f0 = np.empty(grid.size, dtype=complex)
     known = np.zeros(grid.size, dtype=bool)
-    if not p & (p - 1):
-        same = ((_whole_sides(boxes) == [0, 2])
-                & _same_bits(vertices[segments], corners[:, [0, 2]])
-                & _same_bits(vertices[segments + 1], corners[:, [1, 3]]))
-        at = segments[same][:, None] * p + np.arange(p + 1)
-        f0[at], known[at] = sides[same], True
+    cols = np.flatnonzero((_whole_sides(boxes) == [0, 2]).all(axis=1))
+    r = np.arange(p + 1)
+    at = segments[cols][:, :, None] * p + r
+    column = _initial_grid(4, None, tol)[np.array([[0], [2 * p]]) + r]
+    same = _same_bits(_polylines(vertices[None, :])(grid[at], 0),
+                      _polylines(corners)(column, cols[:, None, None]))
+    f0[at[same]], known[at[same]] = sides[cols][same], True
     return vertices, grid, f0, known
 
 

@@ -11,8 +11,9 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
 from coneres.asymptotics import log_band_path
 from coneres import resonances
 from coneres.resonances import (_SPLIT_FRACTIONS, MAX_BATCH_POINTS, TWO_PI,
-                                _count_zeros, _checked, _lines_clear,
-                                _refine_roots, _split_boxes, _values)
+                                _count_zeros, _checked, _kept_values,
+                                _lines_clear, _refine_roots, _split_boxes,
+                                _values)
 
 
 def poly_handle(*zeros):
@@ -421,11 +422,20 @@ def test_batched_newton_without_derivative_raises():
 # guarded splits
 
 
+def split_boxes(f, items, tol=DEFAULT):
+    """_split_boxes of the (box, winding) items, each box handing its halves
+    the sides they keep whole from its own count_zeros walk."""
+    boxes = [box for box, _ in items]
+    f0 = np.empty((len(boxes), 4 * tol.winding_initial_per_segment + 1), complex)
+    _count_zeros(f, boxes, tol, f0.reshape(-1))
+    sides = _kept_values(f0, np.arange(len(boxes)), boxes)
+    return _split_boxes(f, items, tol, sides)[0]
+
+
 def test_guarded_split_skips_a_line_through_a_zero():
     # the mid line x=1 runs through the zero; the next candidate cuts at 0.57
     h = poly_handle(1.0 + 0j)
-    [((b1, w1), (b2, w2))] = _checked(_split_boxes(
-        h, [(Box(0, 2, -0.5, 0.5), 1)], DEFAULT))
+    [((b1, w1), (b2, w2))] = _checked(split_boxes(h, [(Box(0, 2, -0.5, 0.5), 1)]))
     assert (b1.re_lo, b1.re_hi, w1) == (0.0, pytest.approx(1.14), 1)
     assert (b2.re_lo, b2.re_hi, w2) == (pytest.approx(1.14), 2.0, 0)
     assert b1.re_hi == b2.re_lo
@@ -435,7 +445,7 @@ def test_guarded_split_all_lines_rejected():
     # one zero on each candidate line x = 2*frac
     h = poly_handle(1.0 + 0j, 1.14 + 0j, 0.86 + 0j, 1.3 + 0j, 0.7 + 0j)
     with pytest.raises(ZeroNearBoundary, match="all split lines rejected"):
-        _checked(_split_boxes(h, [(Box(0, 2, -0.5, 0.5), 5)], DEFAULT))
+        _checked(split_boxes(h, [(Box(0, 2, -0.5, 0.5), 5)]))
 
 
 def test_guarded_split_walk_failure_tries_next_line():
@@ -447,7 +457,7 @@ def test_guarded_split_walk_failure_tries_next_line():
                         DEFAULT)[0].all()
     with pytest.raises(ZeroNearBoundary,
                        match="all split lines rejected") as info:
-        _checked(_split_boxes(h, [(box, 1)], DEFAULT))
+        _checked(split_boxes(h, [(box, 1)]))
     assert isinstance(info.value.__cause__, ZeroNearBoundary)
 
 
@@ -461,10 +471,10 @@ def test_lockstep_split_matches_guarded_split_box_by_box():
              (Box(30, 32, -0.5, 0.5), 1),   # every left-half walk fails
              (Box(40, 42, -0.5, 0.5), 2),   # winding not conserved
              (Box(50, 51, -1.0, 1.0), 1)]   # taller than wide: cut across
-    got = _split_boxes(h, items, DEFAULT)
+    got = split_boxes(h, items)
     for (box, w), g in zip(items, got):
         try:
-            want = _checked(_split_boxes(h, [(box, w)], DEFAULT))[0]
+            want = _checked(split_boxes(h, [(box, w)]))[0]
         except (ZeroNearBoundary, AuditError) as exc:
             assert type(g) is type(exc) and str(g) == str(exc)
             assert type(g.__cause__) is type(exc.__cause__)
@@ -562,8 +572,8 @@ def test_handed_down_samples_are_the_samples_a_fresh_walk_evaluates(
     # every split pass and run outline of a scan, with a flat top at
     # nu_min = 0 too (dropped joints): halves inherit their box's kept side
     # and the probe's samples, outlines the columns' sides; with 12 samples
-    # a side (1/12 inexact) the outline is not handed its samples, and the
-    # probe (at j/36) shares fewer points than the index relation names
+    # a side (1/12 inexact) the probe (at j/36) and the outline's grid share
+    # fewer points than the index relations name, and only those are handed
     tol = with_overrides(overrides)
     handed = checked_walks(monkeypatch)
     zs = (4.41 - 0.9j, 5.13 - 0.8j, 5.87 - 1.1j, 6.61 - 0.02j, 6.93 - 1.3j,
@@ -576,8 +586,7 @@ def test_handed_down_samples_are_the_samples_a_fresh_walk_evaluates(
         rs = scan_strip(None, region, tol=tol, char_fn=poly_handle(*zs))
         assert np.allclose(rs.lambdas(), sorted(want, key=lambda z: z.real),
                            atol=1e-9)
-    dyadic = tol.winding_initial_per_segment in (8, 16)
-    assert handed["halves"] > 0 and (handed["outline"] > 0) == dyadic
+    assert handed["halves"] > 0 and handed["outline"] > 0
 
 
 def test_handed_down_samples_of_a_characteristic_function(monkeypatch,

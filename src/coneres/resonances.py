@@ -21,6 +21,16 @@ bit equal to the one evaluated.  As values is batch-invariant, every walk
 consumes the very samples and values it would evaluate alone.  Every
 subdivision, every run and every cut between two runs are audited:
 windings must be conserved exactly.
+
+A round's work is arrays, not objects: each box is a row of bounds
+(re_lo, re_hi, im_lo, im_hi) with its column and winding, and the array
+forms of Box's centre, split, inflate and contains compute its bits.
+Box objects are made for Resonance.box and for error messages only.
+Newton steps every start of a round on float64 arrays, emulating
+CPython's complex arithmetic (Smith's division, the (s, 0.0) operand of
+a real factor, hypot for abs), with math.hypot box diameters; so every
+iterate, and every zero, has the bits a loop over Python complex
+numbers would give.
 """
 from __future__ import annotations
 
@@ -274,16 +284,17 @@ def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
     return winding_number(f, path_fn, nseg, tol)
 
 
-def _count_zeros(f, boxes: list[Box], tol: tol_mod.Tolerances,
+def _count_zeros(f, bounds: np.ndarray, tol: tol_mod.Tolerances,
                  f0: np.ndarray | None = None) -> list:
-    """count_zeros of every box, in lock-step: the int or exception of each.
+    """count_zeros of every box, given as the rows (re_lo, re_hi, im_lo,
+    im_hi) of ``bounds``, in lock-step: the int or exception of each.
 
     f0, if given, receives the round-0 values (see _winding_numbers): box
-    k's samples are row k of a (len(boxes), 4 p + 1) grid, side s at
+    k's samples are row k of a (len(bounds), 4 p + 1) grid, side s at
     entries s p to s p + p (p = tol.winding_initial_per_segment).
     """
     grid = _initial_grid(4, None, tol)
-    return _winding_numbers(f, _polylines(_corners(boxes)), [grid] * len(boxes),
+    return _winding_numbers(f, _polylines(_corners(bounds)), [grid] * len(bounds),
                             tol, f0)
 
 
@@ -293,12 +304,62 @@ def _bounds(boxes: list[Box]) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
-def _corners(boxes: list[Box]) -> np.ndarray:
-    """Box.corners() of every box, bit for bit, as the rows of one array."""
-    b = _bounds(boxes)
+def _box(row: np.ndarray) -> Box:
+    """The Box of one row of bounds, with Python floats."""
+    return Box(*row.tolist())
+
+
+def _corners(b: np.ndarray) -> np.ndarray:
+    """Box.corners() of every row of bounds, bit for bit."""
     c = np.empty((len(b), 5), dtype=complex)
     c.real, c.imag = b[:, [0, 1, 1, 0, 0]], b[:, [2, 2, 3, 3, 2]]
     return c
+
+
+def _along(b: np.ndarray) -> np.ndarray:
+    """Whether each box is at least as wide as high, hence cut at a Re
+    (axis 0) when it is split; else it is cut at an Im (axis 1)."""
+    return b[:, 1] - b[:, 0] >= b[:, 3] - b[:, 2]
+
+
+def _diameters(b: np.ndarray) -> np.ndarray:
+    """Box.diameter of every box.  It is math.hypot, one box at a time:
+    np.hypot differs from it in the last bit on a few pairs in a thousand,
+    and Newton's step cap reads the diameter."""
+    return np.array([math.hypot(w, h) for w, h in
+                     zip((b[:, 1] - b[:, 0]).tolist(), (b[:, 3] - b[:, 2]).tolist())])
+
+
+def _centers(b: np.ndarray) -> np.ndarray:
+    """Box.center of every box, bit for bit."""
+    c = np.empty(len(b), dtype=complex)
+    c.real, c.imag = 0.5 * (b[:, 0] + b[:, 1]), 0.5 * (b[:, 2] + b[:, 3])
+    return c
+
+
+def _inflated(b: np.ndarray, factor: float) -> np.ndarray:
+    """Box.inflate(factor) of every box, bit for bit."""
+    c = _centers(b)
+    hw, hh = 0.5 * (b[:, 1] - b[:, 0]) * factor, 0.5 * (b[:, 3] - b[:, 2]) * factor
+    return np.column_stack((c.real - hw, c.real + hw, c.imag - hh, c.imag + hh))
+
+
+def _inside(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Box.contains(z[k]) of every box k."""
+    return ((b[:, 0] <= z.real) & (z.real <= b[:, 1])
+            & (b[:, 2] <= z.imag) & (z.imag <= b[:, 3]))
+
+
+def _halves(b: np.ndarray, frac: float) -> np.ndarray:
+    """Box.split(axis, frac) of every box along the axis _along gives it,
+    bit for bit: the bounds of its first and second half, (len(b), 2, 4)."""
+    rows = np.arange(len(b))
+    lo = np.where(_along(b), 0, 2)
+    cut = b[rows, lo] + frac * (b[rows, lo + 1] - b[rows, lo])
+    out = np.repeat(b[:, None, :], 2, axis=1)
+    out[rows, 0, lo + 1] = cut
+    out[rows, 1, lo] = cut
+    return out
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,9 +408,9 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
     44 rounds is below the 1e-13 * span resolution floor: the loop ends.
     """
     n = len(grids)
-    out: list = [None] * n
+    out = np.full(n, None, dtype=object)
     if not n:
-        return out
+        return []
     span = np.array([g[-1] for g in grids])
     counts = np.array([g.size for g in grids])
     t0 = np.concatenate(grids)
@@ -400,16 +461,18 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
         steps = _kept(steps, suspicious)
         seams = seams[:0]   # only round 0's steps join two contours
         nbad = np.bincount(steps[4], minlength=n)
-        for j in np.flatnonzero(walking & (nbad == 0)):
-            w = float(total[j]) / TWO_PI
-            if abs(w - round(w)) > 0.1:
+        settled = np.flatnonzero(walking & (nbad == 0))
+        if settled.size:
+            w = total[settled] / TWO_PI
+            near = np.rint(w)   # half to even, as round does
+            whole = np.abs(w - near) <= 0.1
+            out[settled[whole]] = near[whole].astype(int).tolist()
+            for j, wj in zip(settled[~whole].tolist(), w[~whole].tolist()):
                 out[j] = ZeroNearBoundary(
-                    f"winding {w:.4f} too far from an integer; phase tracking "
+                    f"winding {wj:.4f} too far from an integer; phase tracking "
                     "is unreliable on this contour"
                 )
-            else:
-                out[j] = int(round(w))
-        walking &= nbad > 0
+            walking[settled] = False
         stop(np.flatnonzero(counts + nbad > tol.winding_max_points),
              "contour refinement exceeded point budget")
         t0, t1, f0, f1, owner = _kept(steps, walking[steps[4]])
@@ -417,7 +480,7 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
         stop(owner[tm - t0 < 1e-13 * span[owner]],
              "contour refinement below resolution floor")
         if not walking.any():
-            return out
+            return out.tolist()
         t0, t1, f0, f1, owner, tm = _kept((t0, t1, f0, f1, owner, tm),
                                           walking[owner])
         fm = _values(f, path(tm, owner))
@@ -452,48 +515,110 @@ def refine_root(f, lam0: complex, box: Box, multiplicity: int = 1,
 
     Steps are scaled by the declared multiplicity and capped at the box
     diameter.  Stops when |f| < newton_residual * (1 + |f'|).  Raises
-    NoConvergence or EscapedBox.
+    NoConvergence or EscapedBox.  This is _refine_roots on one start, so
+    its iterates are bit for bit those of Python complex arithmetic.
     """
-    return _checked(_refine_roots(f, [(lam0, box, multiplicity)], tol))[0]
+    lam, resid, outcome = _refine_roots(f, np.array([lam0], dtype=complex),
+                                        _bounds([box]), np.array([multiplicity]), tol)
+    if outcome[0] != _CONVERGED:
+        raise _newton_failure(int(outcome[0]), complex(lam[0]), box, tol)
+    return complex(lam[0]), float(resid[0])
 
 
-def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
-    """refine_root on every (lam0, box, multiplicity) start at once.
+def _py_quot(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai) / (br + i bi) on float64 arrays, bit for bit as CPython
+    divides complex numbers (_Py_c_quot: Smith's method, dividing by the
+    larger part of the denominator).  numpy's complex division rounds
+    otherwise on about 4 pairs in 10.  A zero denominator, where Python
+    raises ZeroDivisionError, gives nan."""
+    with np.errstate(all="ignore"):
+        by_re = np.abs(br) >= np.abs(bi)
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
-    One values_and_derivs call per iteration serves all live starts.  The
-    step runs on Python complex scalars, as numpy's complex division can
-    differ in the last bit.  Returns (lam, |f(lam)|) or the exception per
-    start.  An exception raised by f.values_and_derivs itself (say, a
-    NoConvergence: no derivative, or I - M singular after its nudge) is
-    the whole batch's and propagates.
+
+def _py_scaled(s, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """(re + i im) * s for a real s on float64 arrays, bit for bit as
+    CPython before 3.14 multiplies a complex by an int or a float: as the
+    complex (s, 0.0), whose 0.0 enters the products and can flip the sign
+    of a zero or turn an infinity into nan."""
+    with np.errstate(all="ignore"):
+        return s * re - 0.0 * im, s * im + 0.0 * re
+
+
+# what became of a Newton start (_refine_roots)
+_CONVERGED, _LEFT_BOX, _ESCAPED, _DEGENERATE, _STALLED = range(5)
+
+
+def _refine_roots(f, lam0: np.ndarray, bounds: np.ndarray,
+                  multiplicity: np.ndarray,
+                  tol: tol_mod.Tolerances) -> tuple[np.ndarray, ...]:
+    """refine_root from every start lam0[k] in the box bounds[k] (a row of
+    re_lo, re_hi, im_lo, im_hi) with multiplicity[k], all at once.
+
+    Returns, per start, its last iterate, |f| there (nan unless it
+    converged) and its outcome: _CONVERGED inside its box, _LEFT_BOX
+    (converged outside it), _ESCAPED (an iterate left the box inflated
+    3x), _DEGENERATE (f' is 0, or f or f' not finite) or _STALLED (no
+    convergence within tol.newton_max_iter).  _newton_failure gives the
+    exception refine_root raises for each outcome but the first.
+
+    One values_and_derivs call per iteration serves all live starts, and
+    each iteration steps them on float64 arrays as Python steps one
+    complex number: _py_scaled for multiplicity * v and the cap,
+    _py_quot for the division, np.hypot for abs (which is C's hypot, as
+    abs of a complex is), and math.hypot for the box diameter (_diameters).
+    So every iterate keeps the bits of the scalar loop.  An exception
+    raised by f.values_and_derivs itself (say, a NoConvergence: no
+    derivative, or I - M singular after its nudge) is the whole batch's
+    and propagates.
     """
-    lams = {i: complex(lam0) for i, (lam0, _, _) in enumerate(starts)}
-    roams = [box.inflate(3.0) for _, box, _ in starts]
-    done: dict = {}
+    lam = np.array(lam0, dtype=complex).reshape(-1)
+    resid = np.full(lam.size, np.nan)
+    outcome = np.full(lam.size, _STALLED)
+    diameter = _diameters(bounds)
+    roam = _inflated(bounds, 3.0)
+    live = np.arange(lam.size)
     for _ in range(tol.newton_max_iter):
-        if not lams:
+        if not live.size:
             break
-        vs, ds = f.values_and_derivs(np.asarray(list(lams.values()), dtype=complex))
-        for (i, lam), v, d in zip(list(lams.items()), vs, ds):
-            _, box, multiplicity = starts[i]
-            v, d = complex(v), complex(d)
-            if abs(v) < tol.newton_residual * (1.0 + abs(d)):
-                done[i] = ((lam, abs(v)) if box.contains(lam) else
-                           EscapedBox(f"root {lam} left its box {box}"))
-            elif d == 0 or not math.isfinite(abs(d)) or not math.isfinite(abs(v)):
-                done[i] = NoConvergence("degenerate derivative during Newton")
-            else:
-                step = multiplicity * v / d
-                mag = abs(step)
-                if mag > box.diameter:
-                    step *= box.diameter / mag
-                lams[i] = lam = lam - step
-                if roams[i].contains(lam):
-                    continue
-                done[i] = EscapedBox(f"Newton iterate {lam} escaped near {box}")
-            del lams[i]
-    stalled = NoConvergence(f"no convergence within {tol.newton_max_iter} iterations")
-    return [done.get(i, stalled) for i in range(len(starts))]
+        v, d = (np.asarray(a, dtype=complex) for a in f.values_and_derivs(lam[live]))
+        av, ad = np.hypot(v.real, v.imag), np.hypot(d.real, d.imag)
+        small = av < tol.newton_residual * (1.0 + ad)
+        stuck = ~small & (((d.real == 0) & (d.imag == 0))
+                          | ~np.isfinite(ad) | ~np.isfinite(av))
+        k = live[small]
+        resid[k] = av[small]
+        outcome[k] = np.where(_inside(bounds[k], lam[k]), _CONVERGED, _LEFT_BOX)
+        outcome[live[stuck]] = _DEGENERATE
+        go = ~(small | stuck)
+        k, v, d = live[go], v[go], d[go]
+        sr, si = _py_quot(*_py_scaled(multiplicity[k], v.real, v.imag), d.real, d.imag)
+        mag = np.hypot(sr, si)
+        cap = mag > diameter[k]
+        sr[cap], si[cap] = _py_scaled(diameter[k][cap] / mag[cap], sr[cap], si[cap])
+        new = np.empty(k.size, dtype=complex)
+        new.real, new.imag = lam[k].real - sr, lam[k].imag - si
+        lam[k] = new
+        out = ~_inside(roam[k], new)
+        outcome[k[out]] = _ESCAPED
+        live = k[~out]
+    return lam, resid, outcome
+
+
+def _newton_failure(outcome: int, lam: complex, box: Box,
+                    tol: tol_mod.Tolerances) -> Exception:
+    """The exception of a Newton start in ``box`` that ended as ``outcome``
+    (not _CONVERGED) with the iterate lam (_refine_roots)."""
+    if outcome == _LEFT_BOX:
+        return EscapedBox(f"root {lam} left its box {box}")
+    if outcome == _ESCAPED:
+        return EscapedBox(f"Newton iterate {lam} escaped near {box}")
+    if outcome == _DEGENERATE:
+        return NoConvergence("degenerate derivative during Newton")
+    return NoConvergence(f"no convergence within {tol.newton_max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +628,9 @@ def _refine_roots(f, starts, tol: tol_mod.Tolerances) -> list:
 _SPLIT_FRACTIONS = (0.5, 0.57, 0.43, 0.65, 0.35)
 
 
-def _lines_clear(f, lines: list[tuple[Box, int, float]],
+def _lines_clear(f, bounds: np.ndarray, frac,
                  tol: tol_mod.Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whether each candidate split line (box, axis, frac) is clear of
+    """Whether the split line of each box (_halves at frac) is clear of
     zeros hugging it, probed for all lines in one values call; and the
     probe's points and values, one row of tol.split_line_samples per line.
 
@@ -516,21 +641,16 @@ def _lines_clear(f, lines: list[tuple[Box, int, float]],
     The probe samples a line with the walk's own path formula,
     va*(1 - t) + vb*t at t = j / (split_line_samples - 1), from corner va
     to corner vb of the split side of the line's first half (the left
-    half's right side, or the bottom half's top side).  So at the defaults
-    (t = j/32) its even samples are bit for bit the points where both
-    halves sample their split side, the first half forward and the second
-    backward (IEEE addition commutes), and _split_boxes hands them on.
+    half's right side 1, or the bottom half's top side 2).  So at the
+    defaults (t = j/32) its even samples are bit for bit the points where
+    both halves sample their split side, the first half forward and the
+    second backward (IEEE addition commutes), and _split_boxes hands them
+    on.
     """
     m = tol.split_line_samples
-    b = _bounds([box for box, _, _ in lines])
-    along = np.array([axis == 0 for _, axis, _ in lines], dtype=bool)
-    frac = np.array([frac for _, _, frac in lines], dtype=float)
-    # Box.split's cut: at Re re_lo + frac * width, or at Im im_lo + frac * height
-    lo, hi = np.where(along, b[:, 0], b[:, 2]), np.where(along, b[:, 1], b[:, 3])
-    cut = lo + frac * (hi - lo)
-    ends = np.empty((len(lines), 2), dtype=complex)
-    ends.real = np.where(along[:, None], cut[:, None], b[:, [1, 0]])
-    ends.imag = np.where(along[:, None], b[:, [2, 3]], cut[:, None])
+    rows = np.arange(len(bounds))[:, None]
+    side = np.where(_along(bounds), 1, 2)[:, None]
+    ends = _corners(_halves(bounds, frac)[:, 0])[rows, side + [0, 1]]
     t = np.linspace(0.0, 1.0, m)
     pts = ends[:, :1] * (1.0 - t) + ends[:, 1:] * t
     values = _values(f, pts.ravel()).reshape(pts.shape)
@@ -540,51 +660,55 @@ def _lines_clear(f, lines: list[tuple[Box, int, float]],
     return clear, pts, values
 
 
-def _whole_sides(boxes: list[Box]) -> np.ndarray:
+def _whole_sides(bounds: np.ndarray) -> np.ndarray:
     """The side of each box that its first and its second half keep whole.
 
-    A box at least as wide as high is cut at a Re (axis 0): its left half
-    keeps side 3 and its right half side 1.  Else it is cut at an Im: its
-    bottom half keeps side 0 and its top half side 2.  Each half's split
-    side is the side the other half keeps.  A kept side has the box's two
-    corners and grid, so its points are the box's bit for bit.
+    A box cut at a Re (_along) keeps side 3 in its left half and side 1 in
+    its right half; one cut at an Im keeps side 0 in its bottom half and
+    side 2 in its top half.  Each half's split side is the side the other
+    half keeps.  A kept side has the box's two corners and grid, so its
+    points are the box's bit for bit.
     """
-    along = np.array([b.width >= b.height for b in boxes], dtype=bool)
-    return np.where(along[:, None], [3, 1], [0, 2]).reshape(-1, 2)
+    return np.where(_along(bounds)[:, None], [3, 1], [0, 2]).reshape(-1, 2)
 
 
-def _kept_values(f0: np.ndarray, rows: np.ndarray, boxes: list[Box]) -> np.ndarray:
+def _kept_values(f0: np.ndarray, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """What the boxes hand their halves: the round-0 values of the sides the
-    halves keep whole (_whole_sides), (len(boxes), 2, p + 1), copied out of
+    halves keep whole (_whole_sides), (len(bounds), 2, p + 1), copied out of
     the given rows of f0, a round-0 buffer of one row of 4 p + 1 per box
     walked (_count_zeros)."""
     p = (f0.shape[1] - 1) // 4
-    e = _whole_sides(boxes)[:, :, None] * p + np.arange(p + 1)
+    e = _whole_sides(bounds)[:, :, None] * p + np.arange(p + 1)
     return f0[np.asarray(rows, dtype=int)[:, None, None], e]
 
 
-def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
-                 sides: np.ndarray) -> tuple[list, np.ndarray]:
-    """Split every (box, winding) item in two along a clear line, in
-    lock-step passes; the halves' windings must add up to the box's.
+def _split_boxes(f, bounds: np.ndarray, windings: np.ndarray,
+                 tol: tol_mod.Tolerances, sides: np.ndarray) -> tuple:
+    """Split every box (a row of bounds) of the given winding in two along a
+    clear line, in lock-step passes; the halves' windings must add up to
+    the box's.
 
     Each pass probes the current split line of every unsplit box in one
     values call and walks the halves of every clear line in one lock-step
     walk; a box whose line or walk fails tries its next _SPLIT_FRACTIONS
-    entry in the next pass.  Returns the two (half, winding) pairs or the
-    exception of each item, and the _kept_values of every half that winds,
-    in the order of the results.
+    entry in the next pass.  Returns the bounds (len(bounds), 2, 4) and the
+    windings (len(bounds), 2) of the two halves of every box, the exception
+    of every box that could not be split (None where it could), and the
+    _kept_values of every half that winds, in box-then-half order.
 
     A half's walk does not evaluate again the samples its split side shares
     with the probe (bit for bit, which one compare checks), nor the side it
-    keeps whole: sides[i] is item i's _kept_values.  Every box must lie
+    keeps whole: sides[i] is box i's _kept_values.  Every box must lie
     right of the imaginary axis, as a scan's do, so that a corner sampled
     as the start of the next side, c*1 + d*0, is the same bits for any
     such neighbour d.
     """
-    out: list = [None] * len(items)
-    last_exc: list[Exception | None] = [None] * len(items)
-    pending = list(range(len(items)))
+    n = len(bounds)
+    halves = np.zeros((n, 2, 4))
+    half_windings = np.zeros((n, 2), dtype=int)
+    failed: list = [None] * n
+    last_exc: list[Exception | None] = [None] * n
+    pending = np.arange(n)
     p, m = tol.winding_initial_per_segment, tol.split_line_samples
     grid = _initial_grid(4, None, tol)
     r = np.arange(p + 1)
@@ -594,96 +718,115 @@ def _split_boxes(f, items: list[tuple[Box, int]], tol: tol_mod.Tolerances,
     j = np.stack((k * (m - 1) // p, m - 1 - k * (m - 1) // p))
     keys, kept = [np.zeros(0, dtype=int)], [np.zeros((0, 2, p + 1), dtype=complex)]
     for frac in _SPLIT_FRACTIONS:
-        if not pending:
+        if not pending.size:
             break
-        boxes = [items[i][0] for i in pending]
-        lines = [(b, 0 if b.width >= b.height else 1, frac) for b in boxes]
-        clear, probe, probed = _lines_clear(f, lines, tol)
+        clear, probe, probed = _lines_clear(f, bounds[pending], frac, tol)
         go = np.flatnonzero(clear)
-        split = np.asarray(pending, dtype=int)[go]
-        halves = [half for q in go for half in boxes[q].split(lines[q][1], frac)]
-        whole = _whole_sides([boxes[q] for q in go])
+        split = pending[go]
+        cut = _halves(bounds[split], frac)
+        whole = _whole_sides(bounds[split])
         f0 = np.empty((go.size, 2, grid.size), dtype=complex)
         known = np.zeros(f0.shape, dtype=bool)
         row, half = np.arange(go.size)[:, None, None], np.arange(2)[None, :, None]
         at = (row, half, whole[:, :, None] * p + r)
         f0[at], known[at] = sides[split], True
         # the split side: every probe sample is written, the equal ones known
-        path = _polylines(_corners(halves))
+        path = _polylines(_corners(cut.reshape(-1, 4)))
         at = (row, half, whole[:, ::-1, None] * p + k)
         f0[at] = probed[go[:, None, None], j]
         known[at] = _same_bits(path(grid[at[2]], 2 * row + half),
                                probe[go[:, None, None], j])
         del probe, probed, at   # only f0 and known go into the walk
-        counts = _winding_numbers(f, path, [grid] * len(halves), tol,
+        counts = _winding_numbers(f, path, [grid] * (2 * go.size), tol,
                                   f0.reshape(-1), known.reshape(-1))
-        walked = iter(zip(halves, counts))
-        for q, i in zip(go, split):
-            box, axis, _ = lines[q]
-            (b1, w1), (b2, w2) = next(walked), next(walked)
-            failed = next((w for w in (w1, w2) if isinstance(w, Exception)), None)
-            if failed is None:
-                w = items[i][1]
-                out[i] = ((b1, w1), (b2, w2)) if w1 + w2 == w else AuditError(
-                    f"winding not conserved under split: {w} -> {w1} + {w2} "
-                    f"(box {box}, axis {axis}, frac {frac})"
-                )
-                continue
-            last_exc[i] = failed
-        live = np.array([h for h, w in enumerate(counts)
-                         if w and isinstance(out[split[h // 2]], tuple)], dtype=int)
+        bad = np.array([isinstance(c, Exception) for c in counts],
+                       dtype=bool).reshape(-1, 2)
+        w = np.array([0 if isinstance(c, Exception) else c for c in counts],
+                     dtype=int).reshape(-1, 2)
+        walked = ~bad.any(axis=1)
+        for q in np.flatnonzero(~walked).tolist():
+            # the first half's exception, else the second's
+            last_exc[split[q]] = counts[2 * q + int(not bad[q, 0])]
+        halves[split[walked]], half_windings[split[walked]] = cut[walked], w[walked]
+        conserved = walked & (w.sum(axis=1) == windings[split])
+        for i in split[walked & ~conserved].tolist():
+            box = _box(bounds[i])
+            failed[i] = AuditError(
+                f"winding not conserved under split: {windings[i]} -> "
+                f"{half_windings[i, 0]} + {half_windings[i, 1]} (box {box}, axis "
+                f"{0 if box.width >= box.height else 1}, frac {frac})"
+            )
+        live = np.flatnonzero((w != 0) & conserved[:, None])
         keys.append(2 * split[live // 2] + live % 2)
         kept.append(_kept_values(f0.reshape(-1, grid.size), live,
-                                 [halves[h] for h in live]))
-        pending = [i for i in pending if out[i] is None]
-    for i in pending:
-        out[i] = ZeroNearBoundary(f"all split lines rejected for box {items[i][0]}")
-        out[i].__cause__ = last_exc[i]
-    return out, np.concatenate(kept)[np.argsort(np.concatenate(keys))]
+                                 cut.reshape(-1, 4)[live]))
+        retry = ~clear
+        retry[go[~walked]] = True
+        pending = pending[retry]
+    for i in pending.tolist():
+        failed[i] = ZeroNearBoundary(f"all split lines rejected for box {_box(bounds[i])}")
+        failed[i].__cause__ = last_exc[i]
+    return (halves, half_windings, failed,
+            np.concatenate(kept)[np.argsort(np.concatenate(keys))])
 
 
-def _scan_columns(f, boxes: list[Box], counts: list[int], sides: np.ndarray,
-                  newton_scale: float,
-                  tol: tol_mod.Tolerances) -> list[tuple[Box, int, list[Resonance]]]:
-    """(box, winding, refined zeros) of every column box, in rounds.
+def _scan_columns(f, bounds: np.ndarray, counts: np.ndarray, sides: np.ndarray,
+                  newton_scale: float, tol: tol_mod.Tolerances) -> tuple:
+    """The refined zeros of the column boxes, found in rounds: arrays of
+    their column, zero, residual, winding and box bounds, column by column
+    and within a column in the order they were found.
 
     ``counts`` are the column boxes' windings and ``sides`` what each hands
-    its halves (_kept_values).  Each round makes one Newton batch: from the
-    centre of every one-zero box at Newton scale, and of every box below
-    tol.multiplicity_diameter that still winds more than once (one zero of
-    that multiplicity, within its 4x box).  Every other box, and every
-    one-zero box whose start failed, is split, and hands its halves the
-    values of the sides they keep whole.
+    its halves (_kept_values).  The work of a round is arrays too: the
+    column, bounds, winding and kept sides of every box.  Each round makes
+    one Newton batch: from the centre of every one-zero box at Newton
+    scale, and of every box below tol.multiplicity_diameter that still
+    winds more than once (one zero of that multiplicity, within its 4x
+    box).  Every other box, and every one-zero box whose start failed, is
+    split, and hands its halves the values of the sides they keep whole.
+    Box objects and exceptions are made only for what is raised.
     """
-    found: list[list[Resonance]] = [[] for _ in boxes]
-    work = [(col, box, w) for col, (box, w) in enumerate(zip(boxes, counts)) if w]
-    sides = sides[[col for col, _, _ in work]]
-    while work:
-        starts = [(b.center, b, 1)
-                  if wb == 1 and max(b.width, b.height) <= 1.6 * newton_scale else
-                  (b.center, b.inflate(4.0), wb)
-                  if wb > 1 and b.diameter < tol.multiplicity_diameter else None
-                  for _, b, wb in work]
-        refined = iter(_refine_roots(f, [s for s in starts if s], tol))
-        split: list[tuple[int, Box, int]] = []
-        rows: list[int] = []
-        for row, ((col, b, wb), start) in enumerate(zip(work, starts)):
-            newton = next(refined) if start else None
-            if isinstance(newton, tuple):
-                lam, resid = newton
-                found[col].append(Resonance(lam=lam, residual=resid, winding=wb, box=b))
-                continue
-            if wb > 1 and newton is not None:
-                raise newton   # a multiple zero is not split any further
-            if b.diameter < tol.min_box_diameter:
-                raise NoConvergence(f"cannot localise zero inside {b}") from newton
-            split.append((col, b, wb))   # a failed one-zero start splits too
-            rows.append(row)
-        sides = sides[rows]
-        halves, sides = _split_boxes(f, [(b, wb) for _, b, wb in split], tol, sides)
-        work = [(col, sb, sw) for (col, _, _), pair in zip(split, _checked(halves))
-                for sb, sw in pair if sw]
-    return list(zip(boxes, counts, found))
+    col = np.flatnonzero(counts)
+    b, w, sides = bounds[col], np.asarray(counts)[col], sides[col]
+    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=complex), np.zeros(0),
+              np.zeros(0, dtype=int), np.zeros((0, 4)))]
+    while col.size:
+        diameter = _diameters(b)
+        one = (w == 1) & (np.maximum(b[:, 1] - b[:, 0], b[:, 3] - b[:, 2])
+                          <= 1.6 * newton_scale)
+        multi = (w > 1) & (diameter < tol.multiplicity_diameter)
+        start = np.flatnonzero(one | multi)
+        boxes = np.where(multi[start, None], _inflated(b[start], 4.0), b[start])
+        lam, resid, outcome = _refine_roots(f, _centers(b[start]), boxes, w[start],
+                                            tol)
+        ok = outcome == _CONVERGED
+        at = start[ok]
+        found.append((col[at], lam[ok], resid[ok], w[at], b[at]))
+        failed = np.full(col.size, -1)   # each row's failed start, if any
+        failed[start[~ok]] = np.flatnonzero(~ok)
+        split = np.ones(col.size, dtype=bool)
+        split[at] = False
+        # a multiple zero is not split any further, nor a box too small
+        stop = np.flatnonzero((multi & (failed >= 0))
+                              | (split & (diameter < tol.min_box_diameter)))
+        if stop.size:
+            q, s = stop[0], failed[stop[0]]
+            newton = None if s < 0 else _newton_failure(
+                int(outcome[s]), complex(lam[s]), _box(boxes[s]), tol)
+            if multi[q]:
+                raise newton
+            raise NoConvergence(f"cannot localise zero inside {_box(b[q])}") from newton
+        halves, windings, errors, sides = _split_boxes(f, b[split], w[split], tol,
+                                                       sides[split])
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        more = windings.reshape(-1) != 0
+        col = np.repeat(col[split], 2)[more]
+        b, w = halves.reshape(-1, 4)[more], windings.reshape(-1)[more]
+    col, lam, resid, w, b = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(col, kind="stable")
+    return col[order], lam[order], resid[order], w[order], b[order]
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +834,13 @@ def _scan_columns(f, boxes: list[Box], counts: list[int], sides: np.ndarray,
 
 
 def _column_boxes(region: SearchRegion, width_hint: float,
-                  shift: float) -> list[Box]:
-    """Cover the strip with full-height column boxes of ~width_hint.
+                  shift: float) -> np.ndarray:
+    """Cover the strip with full-height column boxes of ~width_hint, as the
+    rows (re_lo, re_hi, im_lo, im_hi) of one array, left to right.
 
     Column y-ranges follow the strip's log-curves per column, so the union
-    is a staircase superset of the strip with no interior overlap.
+    is a staircase superset of the strip with no interior overlap.  The
+    logs are math.log's, whose bits np.log need not share.
     """
     span = region.re_max - region.re_min
     ncols = max(1, int(round(span / width_hint)))
@@ -707,14 +852,9 @@ def _column_boxes(region: SearchRegion, width_hint: float,
         cuts = [region.re_min] + [x for x in shifted
                                   if region.re_min + 1e-9 * w < x < region.re_max - 1e-9 * w]
         cuts.append(region.re_max)
-    boxes = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        boxes.append(Box(
-            re_lo=lo, re_hi=hi,
-            im_lo=-region.nu_max * math.log(hi),
-            im_hi=-region.nu_min * math.log(lo),
-        ))
-    return boxes
+    return np.array([(lo, hi, -region.nu_max * math.log(hi),
+                      -region.nu_min * math.log(lo))
+                     for lo, hi in zip(cuts[:-1], cuts[1:])], dtype=float)
 
 
 def _staircase(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -732,12 +872,12 @@ def _staircase(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[keep], np.cumsum(keep)[ends] - 2
 
 
-def _staircase_vertices(boxes: list[Box]) -> np.ndarray:
+def _staircase_vertices(bounds: np.ndarray) -> np.ndarray:
     """The vertices of the staircase outline of column boxes (_staircase)."""
-    return _staircase(_corners(boxes))[0]
+    return _staircase(_corners(bounds))[0]
 
 
-def _outline_samples(boxes: list[Box], sides: np.ndarray,
+def _outline_samples(bounds: np.ndarray, sides: np.ndarray,
                      tol: tol_mod.Tolerances) -> tuple[np.ndarray, ...]:
     """The vertices, initial grid, round-0 buffer and known mask of the walk
     of a run's staircase outline, given what its columns hand their halves
@@ -751,12 +891,12 @@ def _outline_samples(boxes: list[Box], sides: np.ndarray,
     whose grid point differs from the column's.
     """
     p = tol.winding_initial_per_segment
-    corners = _corners(boxes)
+    corners = _corners(bounds)
     vertices, segments = _staircase(corners)
     grid = _initial_grid(vertices.size - 1, None, tol)
     f0 = np.empty(grid.size, dtype=complex)
     known = np.zeros(grid.size, dtype=bool)
-    cols = np.flatnonzero((_whole_sides(boxes) == [0, 2]).all(axis=1))
+    cols = np.flatnonzero((_whole_sides(bounds) == [0, 2]).all(axis=1))
     r = np.arange(p + 1)
     at = segments[cols][:, :, None] * p + r
     column = _initial_grid(4, None, tol)[np.array([[0], [2 * p]]) + r]
@@ -766,10 +906,10 @@ def _outline_samples(boxes: list[Box], sides: np.ndarray,
     return vertices, grid, f0, known
 
 
-def _scan_run(f, boxes: list[Box], newton_scale: float,
+def _scan_run(f, bounds: np.ndarray, newton_scale: float,
               tol: tol_mod.Tolerances) -> tuple[list[Resonance], int, list[int]]:
-    """The zeros of one run of columns, the audited winding of the run, and
-    the winding of each column.
+    """The zeros of one run of column boxes (rows of bounds), the audited
+    winding of the run, and the winding of each column.
 
     One lock-step walk counts every column box; of its round-0 values only
     what the columns hand their halves (_kept_values) lives on, through
@@ -778,49 +918,60 @@ def _scan_run(f, boxes: list[Box], newton_scale: float,
     each column must hold its winding in zeros clear of the boundary guard.
     """
     p = tol.winding_initial_per_segment
-    f0 = np.empty((len(boxes), 4 * p + 1), dtype=complex)
-    counts = _checked(_count_zeros(f, boxes, tol, f0.reshape(-1)))
-    sides = _kept_values(f0, np.arange(len(boxes)), boxes)
+    f0 = np.empty((len(bounds), 4 * p + 1), dtype=complex)
+    counts = np.array(_checked(_count_zeros(f, bounds, tol, f0.reshape(-1))),
+                      dtype=int)
+    sides = _kept_values(f0, np.arange(len(bounds)), bounds)
     del f0
-    results = _scan_columns(f, boxes, counts, sides, newton_scale, tol)
-    total_cols = sum(w for _, w, _ in results)
-    vertices, grid, f0, known = _outline_samples(boxes, sides, tol)
+    col, lam, resid, winding, boxes = _scan_columns(f, bounds, counts, sides,
+                                                    newton_scale, tol)
+    total_cols = int(counts.sum())
+    vertices, grid, f0, known = _outline_samples(bounds, sides, tol)
     del sides
     outer = _checked(_winding_numbers(f, _polylines(vertices[None, :]), [grid],
                                       tol, f0, known))[0]
     if outer != total_cols:
         raise AuditError(
-            f"winding audit failed on the columns over Re [{boxes[0].re_lo}, "
-            f"{boxes[-1].re_hi}]: columns total {total_cols}, outer contour {outer}"
+            f"winding audit failed on the columns over Re [{float(bounds[0, 0])}, "
+            f"{float(bounds[-1, 1])}]: columns total {total_cols}, outer contour {outer}"
         )
-    for b, w, found in results:
-        if sum(r.winding for r in found) != w:
-            raise AuditError(f"column at [{b.re_lo}, {b.re_hi}] lost zeros")
-        for r in found:
-            # guard against zeros hugging an audit line of the tiling
-            if b.boundary_distance(r.lam) < tol.boundary_guard:
-                raise ZeroNearBoundary(f"refined zero {r.lam} violates the "
-                                       "boundary guard")
-    return ([r for _, _, found in results for r in found], outer,
-            [w for _, w, _ in results])
+    # each column, left to right: its zeros' windings, then the guard
+    # against zeros hugging an audit line of the tiling
+    lost = np.flatnonzero(np.bincount(col, weights=winding, minlength=len(bounds))
+                          != counts)
+    c = bounds[col]
+    near = np.flatnonzero(np.minimum.reduce((lam.real - c[:, 0], c[:, 1] - lam.real,
+                                             lam.imag - c[:, 2], c[:, 3] - lam.imag))
+                          < tol.boundary_guard)
+    if lost.size and not (near.size and col[near[0]] < lost[0]):
+        raise AuditError(f"column at [{float(bounds[lost[0], 0])}, "
+                         f"{float(bounds[lost[0], 1])}] lost zeros")
+    if near.size:
+        raise ZeroNearBoundary(f"refined zero {complex(lam[near[0]])} violates the "
+                               "boundary guard")
+    return ([Resonance(lam=z, residual=r, winding=w, box=Box(*b))
+             for z, r, w, b in zip(lam.tolist(), resid.tolist(), winding.tolist(),
+                                   boxes.tolist())],
+            outer, counts.tolist())
 
 
-def _audit_seams(f, boxes: list[Box], run: int, windings: list[int],
+def _audit_seams(f, bounds: np.ndarray, run: int, windings: list[int],
                  tol: tol_mod.Tolerances) -> None:
-    """Where two runs meet, the two columns beside the cut must wind as
-    much as the staircase outline of their union, else AuditError.
+    """Where two runs of column boxes (rows of bounds) meet, the two columns
+    beside the cut must wind as much as the staircase outline of their
+    union, else AuditError.
 
     Each run's outline walks the cut side with the samples of the column
     beside it, so no run audit covers that side; the union's outline
     leaves the shared stretch of the cut inside and walks on samples of
     its own.
     """
-    for i in range(run, len(boxes), run):
-        union = winding_number(f, *polyline_path(_staircase_vertices(boxes[i - 1:i + 1])),
+    for i in range(run, len(bounds), run):
+        union = winding_number(f, *polyline_path(_staircase_vertices(bounds[i - 1:i + 1])),
                                tol)
         if union != windings[i - 1] + windings[i]:
             raise AuditError(
-                f"winding audit failed where two runs meet at Re {boxes[i].re_lo}: "
+                f"winding audit failed where two runs meet at Re {float(bounds[i, 0])}: "
                 f"columns {windings[i - 1]} + {windings[i]}, their outline {union}"
             )
 

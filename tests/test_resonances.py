@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from coneres import (DEFAULT, AuditError, Box, CharFunction, EscapedBox,
                      with_overrides)
 from coneres.asymptotics import log_band_path
 from coneres import resonances
-from coneres.resonances import (_SPLIT_FRACTIONS, MAX_BATCH_POINTS, TWO_PI,
-                                _count_zeros, _checked, _kept_values,
-                                _lines_clear, _refine_roots, _split_boxes,
-                                _values)
+from coneres.resonances import (_CONVERGED, _SPLIT_FRACTIONS, MAX_BATCH_POINTS,
+                                TWO_PI, _bounds, _count_zeros, _checked,
+                                _halves, _kept_values, _lines_clear,
+                                _newton_failure, _py_quot, _py_scaled,
+                                _refine_roots, _split_boxes, _values)
 
 
 def poly_handle(*zeros):
@@ -46,6 +48,7 @@ class Counted:
 
     def __init__(self, f):
         self.f, self.calls, self.points = f, 0, 0
+        self.newton_calls, self.newton_points = 0, 0
 
     def values(self, lam):
         lam = np.atleast_1d(np.asarray(lam))
@@ -54,6 +57,9 @@ class Counted:
         return self.f.values(lam)
 
     def values_and_derivs(self, lam):
+        lam = np.atleast_1d(np.asarray(lam))
+        self.newton_calls += 1
+        self.newton_points += lam.size
         return self.f.values_and_derivs(lam)
 
 
@@ -222,7 +228,7 @@ def test_lockstep_walk_matches_count_zeros_box_by_box():
     zeros, boxes = CASE_ZEROS, CASE_BOXES
     tol = with_overrides({"winding_max_points": 150})
     lockstep = Counted(poly_handle(*zeros))
-    got = _count_zeros(lockstep, boxes, tol)
+    got = _count_zeros(lockstep, _bounds(boxes), tol)
     alone = Counted(poly_handle(*zeros))
     messages = []
     for box, g in zip(boxes, got):
@@ -248,7 +254,8 @@ def test_step_walk_matches_full_recompute_on_every_way_a_walk_ends(
         monkeypatch, overrides):
     tol = with_overrides(overrides)
     got, batches = assert_same_walks(monkeypatch, _count_zeros,
-                                     poly_handle(*CASE_ZEROS), CASE_BOXES, tol)
+                                     poly_handle(*CASE_ZEROS), _bounds(CASE_BOXES),
+                                     tol)
     # without the budget the 32-fold zero is counted
     assert [g for g in got if type(g) is int] == ([1, 2, 0, 1] if overrides
                                                   else [1, 2, 32, 0, 1])
@@ -262,7 +269,7 @@ def test_step_walk_matches_full_recompute_on_seeded_polynomials(monkeypatch, see
     # refinement round
     zeros, boxes = seeded_boxes(seed, 40, 150)
     got, batches = assert_same_walks(monkeypatch, _count_zeros,
-                                     poly_handle(*zeros), boxes, DEFAULT)
+                                     poly_handle(*zeros), _bounds(boxes), DEFAULT)
     assert all(type(g) is int for g in got) and sum(got) > 50
     sizes = [b.size for b in batches]
     assert sizes[:3] == [4096, 4096, 1558]
@@ -383,6 +390,62 @@ def test_refine_root_needs_derivative():
         refine_root(h, 1.9 + 0j, Box(1.5, 2.5, -0.5, 0.5))
 
 
+def reference_refine_roots(f, starts, tol):
+    """resonances._refine_roots as the loop over Python complex scalars it
+    replaced: refine_root on every (lam0, box, multiplicity) start, one
+    values_and_derivs call per iteration for all live starts.  The array
+    core must reproduce its (lam, residual) bit for bit, or its exception
+    type and message."""
+    lams = {i: complex(lam0) for i, (lam0, _, _) in enumerate(starts)}
+    roams = [box.inflate(3.0) for _, box, _ in starts]
+    done = {}
+    for _ in range(tol.newton_max_iter):
+        if not lams:
+            break
+        vs, ds = f.values_and_derivs(np.asarray(list(lams.values()), dtype=complex))
+        for (i, lam), v, d in zip(list(lams.items()), vs, ds):
+            _, box, multiplicity = starts[i]
+            v, d = complex(v), complex(d)
+            if abs(v) < tol.newton_residual * (1.0 + abs(d)):
+                done[i] = ((lam, abs(v)) if box.contains(lam) else
+                           EscapedBox(f"root {lam} left its box {box}"))
+            elif d == 0 or not math.isfinite(abs(d)) or not math.isfinite(abs(v)):
+                done[i] = NoConvergence("degenerate derivative during Newton")
+            else:
+                step = multiplicity * v / d
+                mag = abs(step)
+                if mag > box.diameter:
+                    step *= box.diameter / mag
+                lams[i] = lam = lam - step
+                if roams[i].contains(lam):
+                    continue
+                done[i] = EscapedBox(f"Newton iterate {lam} escaped near {box}")
+            del lams[i]
+    stalled = NoConvergence(f"no convergence within {tol.newton_max_iter} iterations")
+    return [done.get(i, stalled) for i in range(len(starts))]
+
+
+def refine_roots(f, starts, tol):
+    """_refine_roots on the (lam0, box, multiplicity) starts: per start,
+    (lam, residual) or the exception refine_root would raise."""
+    lam, resid, outcome = _refine_roots(
+        f, np.array([lam0 for lam0, _, _ in starts], dtype=complex),
+        _bounds([box for _, box, _ in starts]),
+        np.array([m for _, _, m in starts], dtype=int), tol)
+    return [(z, r) if o == _CONVERGED else _newton_failure(o, z, box, tol)
+            for z, r, o, (_, box, _) in zip(lam.tolist(), resid.tolist(),
+                                            outcome.tolist(), starts)]
+
+
+def result_bits(result):
+    """A Newton result as comparable bits: (lam, residual) as hex floats,
+    an exception as its type and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    lam, resid = result
+    return tuple(float.hex(x) for x in (lam.real, lam.imag, resid))
+
+
 def test_batched_newton_matches_refine_root_per_start():
     h = poly_handle(4.31 - 0.77j, 9.0 + 0j, 6.5 - 0.5j, 6.5 - 0.5j)
     tol = with_overrides({"newton_max_iter": 6})
@@ -394,7 +457,7 @@ def test_batched_newton_matches_refine_root_per_start():
         (0j, Box(-50.0, 50.0, -50.0, 50.0), 1),               # out of iterations
         (4.0 - 0.77j, Box(3.5, 4.5, -1.0, -0.5), 1),          # converges
     ]
-    batch = _refine_roots(h, starts, tol)
+    batch = refine_roots(h, starts, tol)
     messages = []
     for start, got in zip(starts, batch):
         try:
@@ -409,13 +472,139 @@ def test_batched_newton_matches_refine_root_per_start():
         assert any(fragment in m for m in messages)
 
 
+def newton_cases(seed):
+    """(f, starts) batches that end a Newton start in every way, 1,230
+    starts in all: boxes around zeros of multiplicity 1 to 3 and around no
+    zero, small boxes whose math.hypot and np.hypot diameters differ in the
+    last bit and whose step cap binds, starts on an exact critical point,
+    and starts where f is nan."""
+    rng = np.random.default_rng(seed)
+    zs = rng.uniform(0, 10, 6) + 1j * rng.uniform(-1, 1, 6)
+    mult = [1, 1, 2, 2, 3, 3]
+    f = poly_handle(*[z for z, m in zip(zs, mult) for _ in range(m)])
+    starts = []
+    for _ in range(400):   # a box near a zero, declared its multiplicity
+        z, m = zs[rng.integers(6)], mult[rng.integers(6)]
+        size = 10.0 ** rng.uniform(-3, 0, 2)
+        lo = z - size * rng.uniform(0, 1, 2) @ [1, 1j] + rng.normal(0, 0.05, 2) @ [1, 1j]
+        box = Box(lo.real, lo.real + size[0], lo.imag, lo.imag + size[1])
+        starts.append((box.center, box, m))
+    for _ in range(400):   # a box anywhere
+        x, y = rng.uniform(-1, 11), rng.uniform(-2, 2)
+        w, h = 10.0 ** rng.uniform(-2, 0.5, 2)
+        box = Box(x, x + w, y, y + h)
+        starts.append((box.center, box, int(rng.integers(1, 4))))
+    # small boxes 0.05 to 0.3 off a simple zero, of sides whose two hypots
+    # differ: the first step is about the distance, so the cap binds
+    n = 200_000
+    z = zs[rng.integers(2, size=n)] + (rng.uniform(0.05, 0.3, n)
+                                       * np.exp(1j * rng.uniform(0, TWO_PI, n)))
+    b = np.column_stack((z.real, z.real + 10.0 ** rng.uniform(-3, -1.5, n),
+                         z.imag, z.imag + 10.0 ** rng.uniform(-3, -1.5, n)))
+    w, h = b[:, 1] - b[:, 0], b[:, 3] - b[:, 2]
+    odd = np.hypot(w, h) != [math.hypot(*wh) for wh in zip(w.tolist(), h.tolist())]
+    for row in b[odd][:400].tolist():
+        box = Box(*row)
+        starts.append((box.center, box, 1))
+    # f' = (lam - 1) + (lam - 3) is exactly 0 at 2, where f is -1
+    critical = (poly_handle(1 + 0j, 3 + 0j),
+                [(2 + 0j, Box(1.5, 2.5, -0.5, 0.5), m) for m in (1, 2, 3)] * 5)
+
+    def nan_right_of_50(lam):
+        lam = np.asarray(lam, dtype=complex)
+        return np.where(lam.real < 50, lam - 49.0, np.nan)
+
+    blind = (FunctionHandle(nan_right_of_50, lambda lam: np.ones_like(lam)),
+             [(x + 0j, Box(x - 0.5, x + 0.5, -0.5, 0.5), 1)
+              for x in (49.2, 49.6, 49.8, 50.1, 51.0)] * 3)
+    return [(f, starts), critical, blind]
+
+
+@pytest.mark.parametrize("max_iter", [8, 50])
+def test_newton_core_matches_the_scalar_loop(max_iter):
+    # the array core against the scalar loop it replaced, start by start:
+    # (lam, residual) bit for bit, or the same exception and message
+    tol = with_overrides({"newton_max_iter": max_iter})
+    messages, capped, nstarts, mults = [], 0, 0, set()
+    for f, starts in newton_cases(18):
+        want = reference_refine_roots(f, starts, tol)
+        got = refine_roots(f, starts, tol)
+        assert [result_bits(g) for g in got] == [result_bits(w) for w in want]
+        messages += [str(w) for w in want if isinstance(w, Exception)]
+        nstarts += len(starts)
+        mults |= {m for _, _, m in starts}
+        for lam0, box, m in starts:
+            v, d = f.values_and_derivs(np.array([lam0]))
+            diameter = box.diameter
+            if (diameter != np.hypot(box.width, box.height)
+                    and abs(m * complex(v[0]) / complex(d[0])) > diameter):
+                capped += 1
+    converged = nstarts - len(messages)
+    assert nstarts >= 1000 and mults == {1, 2, 3}
+    assert capped >= 100
+    kinds = [sum(fragment in m for m in messages)
+             for fragment in ("left its box", "escaped near",
+                              "degenerate derivative", "no convergence within")]
+    assert converged > 0 and all(kinds), kinds
+
+
+def test_complex_arithmetic_emulation_matches_python():
+    # _py_quot against Python's complex /, _py_scaled against int * complex
+    # and complex * float, np.hypot against abs: bit for bit (nan equals
+    # nan), on seeded pairs at scales 1e-12 to 1e6 and on every combination
+    # of special parts.  A Python whose complex arithmetic rounds otherwise
+    # (3.14 changes mixed-mode arithmetic) fails here, instead of moving
+    # the scan's zeros.
+    rng = np.random.default_rng(18)
+    parts = rng.normal(size=(4, 20_000)) * 10.0 ** rng.uniform(-12, 6, (4, 20_000))
+    special = [0.0, -0.0, 5e-324, -1e-310, 1e-300, -1e300, math.inf, -math.inf,
+               math.nan]
+    corners = np.array(np.meshgrid(*[special] * 4)).reshape(4, -1)
+    ar, ai, br, bi = np.concatenate((parts, corners), axis=1)
+
+    def same(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return (x.view(np.uint64) == y.view(np.uint64)) | (np.isnan(x) & np.isnan(y))
+
+    def python(op, *columns):
+        """op on Python complex numbers, row by row: real, imag and where
+        Python raised."""
+        out, failed = [], []
+        for args in zip(*(c.tolist() for c in columns)):
+            try:
+                out.append(op(*args))
+            except (ZeroDivisionError, OverflowError):
+                out.append(complex(math.nan, math.nan))
+                failed.append(True)
+            else:
+                failed.append(False)
+        z = np.array(out, dtype=complex)
+        return z.real, z.imag, np.array(failed)
+
+    want_re, want_im, raised = python(
+        lambda ar, ai, br, bi: complex(ar, ai) / complex(br, bi), ar, ai, br, bi)
+    got_re, got_im = _py_quot(ar, ai, br, bi)
+    assert np.array_equal(raised, (br == 0) & (bi == 0))
+    assert (same(got_re, want_re) & same(got_im, want_im))[~raised].all()
+    for s in (1, 2, 3):
+        want_re, want_im, _ = python(lambda re, im: s * complex(re, im), ar, ai)
+        got_re, got_im = _py_scaled(np.full(ar.size, s), ar, ai)
+        assert (same(got_re, want_re) & same(got_im, want_im)).all()
+    want_re, want_im, _ = python(lambda re, im, s: complex(re, im) * s, ar, ai, br)
+    got_re, got_im = _py_scaled(br, ar, ai)
+    assert (same(got_re, want_re) & same(got_im, want_im)).all()
+    want, _, raised = python(lambda re, im: abs(complex(re, im)), ar, ai)
+    assert not raised.any()
+    assert same(np.hypot(ar, ai), want).all()
+
+
 def test_batched_newton_without_derivative_raises():
     # a Newton call that cannot run fails the whole batch, not each start
     h = FunctionHandle(lambda lam: np.asarray(lam, dtype=complex) - 2.0)
     box = Box(1.5, 2.5, -0.5, 0.5)
     with pytest.raises(NoConvergence,
                        match="^no derivative available for Newton refinement$"):
-        _refine_roots(h, [(1.9 + 0j, box, 1), (2.1 + 0.1j, box, 1)], DEFAULT)
+        refine_roots(h, [(1.9 + 0j, box, 1), (2.1 + 0.1j, box, 1)], DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +613,16 @@ def test_batched_newton_without_derivative_raises():
 
 def split_boxes(f, items, tol=DEFAULT):
     """_split_boxes of the (box, winding) items, each box handing its halves
-    the sides they keep whole from its own count_zeros walk."""
-    boxes = [box for box, _ in items]
-    f0 = np.empty((len(boxes), 4 * tol.winding_initial_per_segment + 1), complex)
-    _count_zeros(f, boxes, tol, f0.reshape(-1))
-    sides = _kept_values(f0, np.arange(len(boxes)), boxes)
-    return _split_boxes(f, items, tol, sides)[0]
+    the sides they keep whole from its own count_zeros walk: per item, its
+    two (half, winding) pairs or its exception."""
+    bounds = _bounds([box for box, _ in items])
+    f0 = np.empty((len(items), 4 * tol.winding_initial_per_segment + 1), complex)
+    _count_zeros(f, bounds, tol, f0.reshape(-1))
+    sides = _kept_values(f0, np.arange(len(items)), bounds)
+    halves, windings, failed, _ = _split_boxes(
+        f, bounds, np.array([w for _, w in items]), tol, sides)
+    return [exc or tuple((Box(*h), w) for h, w in zip(hs, ws))
+            for exc, hs, ws in zip(failed, halves.tolist(), windings.tolist())]
 
 
 def test_guarded_split_skips_a_line_through_a_zero():
@@ -453,8 +646,8 @@ def test_guarded_split_walk_failure_tries_next_line():
     # walk around each left half: every fraction is tried, then rejected
     h = poly_handle(-1e-15 + 0j, 1.3 - 0.2j)
     box = Box(0, 2, -0.5, 0.5)
-    assert _lines_clear(h, [(box, 0, frac) for frac in _SPLIT_FRACTIONS],
-                        DEFAULT)[0].all()
+    assert _lines_clear(h, _bounds([box] * len(_SPLIT_FRACTIONS)),
+                        np.array(_SPLIT_FRACTIONS), DEFAULT)[0].all()
     with pytest.raises(ZeroNearBoundary,
                        match="all split lines rejected") as info:
         _checked(split_boxes(h, [(box, 1)]))
@@ -510,13 +703,16 @@ def test_probe_samples_are_the_halves_split_side_points(overrides):
     for region in (SearchRegion(100.0, 120.0, 0.05, 0.35),
                    SearchRegion(100.0, 120.0, 0.0, 0.35)):    # tops at Im -0.0
         for width, shift in ((0.157, 0.0), (0.157, 0.137), (3.0, 0.0), (3.0, 0.137)):
-            boxes = resonances._column_boxes(region, width, shift * width)
+            bounds = resonances._column_boxes(region, width, shift * width)
             for frac in _SPLIT_FRACTIONS:
-                lines = [(b, 0 if b.width >= b.height else 1, frac) for b in boxes]
-                _, probe, _ = _lines_clear(poly_handle(0j), lines, tol)
-                for (box, axis, _), pts in zip(lines, probe):
+                _, probe, _ = _lines_clear(poly_handle(0j), bounds, frac, tol)
+                for row, cut, pts in zip(bounds.tolist(), _halves(bounds, frac), probe):
+                    box = Box(*row)
+                    axis = 0 if box.width >= box.height else 1
                     axes.add(axis)
                     first, second = box.split(axis, frac)
+                    # _halves is Box.split, bit for bit
+                    assert np.array([astuple(first), astuple(second)]).tobytes() == cut.tobytes()
                     # left half's side 1 and right half's side 3, or the
                     # bottom half's side 2 and top half's side 0
                     for half, side, at in ((first, 1 + axis, j),
@@ -647,9 +843,9 @@ def test_scan_reports_double_zero_as_one_item(monkeypatch):
     batches, alone = [], []
     refine_roots = resonances._refine_roots
 
-    def spy(f, starts, tol):
-        batches.append([m for _, _, m in starts])
-        return refine_roots(f, starts, tol)
+    def spy(f, lam0, bounds, multiplicity, tol):
+        batches.append(multiplicity.tolist())
+        return refine_roots(f, lam0, bounds, multiplicity, tol)
 
     monkeypatch.setattr(resonances, "_refine_roots", spy)
     monkeypatch.setattr(resonances, "refine_root",
@@ -665,6 +861,63 @@ def test_scan_reports_double_zero_as_one_item(monkeypatch):
     assert rs.total_winding_audited == 2
     assert alone == []
     assert [2] in batches
+
+
+@pytest.mark.parametrize("zs, region, overrides, message, cause", [
+    # a column box too small to split, with no Newton start
+    ((4.41 - 0.9j, 5.87 - 1.1j), SearchRegion(4.0, 8.0, 0.3, 0.9),
+     {"min_box_diameter": 10.0},
+     "cannot localise zero inside Box(re_lo=4.25, re_hi=4.5, "
+     "im_lo=-1.3536696570986468, im_hi=-0.4340756948808976)", None),
+    # the same after its one-zero start failed, which is the cause
+    ((4.41 - 0.9j, 5.87 - 1.0j), SearchRegion(4.0, 8.0, 0.5, 0.56),
+     {"min_box_diameter": 10.0, "newton_max_iter": 1},
+     "cannot localise zero inside Box(re_lo=5.75, re_hi=6.0, "
+     "im_lo=-1.0033853027677109, im_hi=-0.8745999274046296)",
+     "no convergence within 1 iterations"),
+    # a box winding twice is started as one double zero and never split,
+    # so its failed start ends the scan
+    ((5.53 - 1.0j, 5.5301 - 1.0j, 5.9 - 1.0j), SearchRegion(4.0, 7.0, 0.3, 0.9),
+     {"multiplicity_diameter": 0.5}, "no convergence within 50 iterations", None),
+])
+def test_scan_raises_for_a_box_it_cannot_resolve(zs, region, overrides, message,
+                                                 cause):
+    with pytest.raises(NoConvergence) as info:
+        scan_strip(None, region, tol=with_overrides(overrides),
+                   char_fn=poly_handle(*zs))
+    assert str(info.value) == message
+    assert (cause if info.value.__cause__ is None
+            else str(info.value.__cause__)) == cause
+
+
+@pytest.mark.parametrize("drop, guard", [(0, None), (0, 0.2), (-1, 0.2)])
+def test_scan_audits_the_zeros_of_every_column(monkeypatch, drop, guard):
+    # a column whose found zeros wind less than the column fails the audit;
+    # with a guard that every zero violates, the first column to fail
+    # either check decides which error the scan raises
+    scan_columns = resonances._scan_columns
+
+    def drop_one(f, bounds, *args):
+        found = scan_columns(f, bounds, *args)
+        dropped.append(bounds[found[0][drop]].tolist())
+        keep = np.ones(found[0].size, dtype=bool)
+        keep[drop] = False
+        return tuple(a[keep] for a in found)
+
+    dropped = []
+    monkeypatch.setattr(resonances, "_scan_columns", drop_one)
+    tol = with_overrides({} if guard is None else {"boundary_guard": guard})
+    zs = (4.41 - 0.9j, 5.87 - 1.1j, 6.93 - 1.3j)
+    with pytest.raises((AuditError, ZeroNearBoundary)) as info:
+        scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.9), tol=tol,
+                   char_fn=poly_handle(*zs))
+    if drop == 0:
+        re_lo, re_hi, _, _ = dropped[0]
+        assert type(info.value) is AuditError
+        assert str(info.value) == f"column at [{re_lo}, {re_hi}] lost zeros"
+    else:
+        assert str(info.value) == "scan failed after 5 grid shifts"
+        assert "violates the boundary guard" in str(info.value.__cause__)
 
 
 def reference_staircase_vertices(boxes):
@@ -695,12 +948,12 @@ def test_staircase_outline_matches_joint_loop(region, shift):
     # shifted and unshifted columns, a flat top at nu_min = 0 (where the
     # top corners sit at Im -0.0), one column, and a run cut from the middle
     for width in (0.2, 0.31, 1.7, 50.0):
-        boxes = resonances._column_boxes(region, width, shift * width)
-        for run in (boxes, boxes[1:4]):
-            if not run:
+        bounds = resonances._column_boxes(region, width, shift * width)
+        for run in (bounds, bounds[1:4]):
+            if not len(run):
                 continue
             got = resonances._staircase_vertices(run)
-            want = reference_staircase_vertices(run)
+            want = reference_staircase_vertices([Box(*row) for row in run.tolist()])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -847,17 +1100,18 @@ def test_scan_audit_total(triangle_345):
 
 def spy_runs(monkeypatch, doctor_run=None):
     """The column boxes of every run the scan takes; ``doctor_run`` (a run
-    index) adds one to the winding of that run's first column."""
+    index) adds one to the winding of that run's first column once its
+    zeros are found (the run reads its column windings from the counts
+    it handed _scan_columns)."""
     runs = []
     scan_columns = resonances._scan_columns
 
-    def spy(f, boxes, *args):
-        results = scan_columns(f, boxes, *args)
+    def spy(f, bounds, counts, *args):
+        found = scan_columns(f, bounds, counts, *args)
         if len(runs) == doctor_run:
-            (box, w, found), *rest = results
-            results = [(box, w + 1, found), *rest]
-        runs.append(boxes)
-        return results
+            counts[0] += 1
+        runs.append([Box(*row) for row in bounds.tolist()])
+        return found
 
     monkeypatch.setattr(resonances, "_scan_columns", spy)
     return runs
@@ -931,6 +1185,35 @@ def test_scan_evaluates_the_same_points_in_few_values_calls(triangle_345):
     assert len(rs.items) == 764
     assert cf.n_evals - before == 330_808
     assert counted.calls <= 200
+
+
+def test_scan_newton_decisions(triangle_345, monkeypatch):
+    # the flagship scan's Newton batches, one a round, and what became of
+    # each start: every failed one-zero start is split again
+    batches, outcomes = [], []
+    refine_roots = resonances._refine_roots
+
+    def spy(f, lam0, bounds, multiplicity, tol):
+        out = refine_roots(f, lam0, bounds, multiplicity, tol)
+        if lam0.size:
+            batches.append(lam0.size)
+            outcomes.append(out[2])
+        return out
+
+    monkeypatch.setattr(resonances, "_refine_roots", spy)
+    counted = Counted(char_function(triangle_345))
+    rs = scan_strip(triangle_345, SearchRegion(100.0, 300.0, 0.05, 0.35),
+                    char_fn=counted)
+    assert len(rs.items) == 764
+    assert batches == [642, 523, 433, 137, 45, 27] and sum(batches) == 1807
+    kinds = np.bincount(np.concatenate(outcomes), minlength=5)
+    assert dict(zip(("converged", "left its box", "escaped", "degenerate",
+                     "stalled"), kinds.tolist())) == {
+        "converged": 764, "left its box": 280, "escaped": 763, "degenerate": 0,
+        "stalled": 0}
+    assert (resonances._CONVERGED, resonances._LEFT_BOX, resonances._ESCAPED,
+            resonances._DEGENERATE, resonances._STALLED) == tuple(range(5))
+    assert (counted.newton_calls, counted.newton_points) == (97, 12_159)
 
 
 def test_scan_decisions_do_not_depend_on_values_kernel(triangle_345):

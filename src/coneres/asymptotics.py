@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import InsufficientData, NoConvergence
 from . import tolerances as tol_mod
-from .geometry import CheckResult, ConeSurfaceSpec, LengthScales, length_scales
+from .geometry import (TWO_PI, CheckResult, ConeSurfaceSpec, LengthScales,
+                       length_scales, link_distance)
 from .monodromy import coupling_coefficient, char_function
 from .resonances import ResonanceSet, winding_number
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -238,11 +237,6 @@ class VerificationReport:
         }
 
 
-def _circ_dist(a: float, b: float, period: float) -> float:
-    d = (a - b) % period
-    return min(d, period - d)
-
-
 def verify_scan(result: ResonanceSet, model: LadderModel,
                 min_re: float | None = None,
                 tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> VerificationReport:
@@ -257,7 +251,7 @@ def verify_scan(result: ResonanceSet, model: LadderModel,
         ("intercept_c_im", "C_im", fit.intercept, model.c_im, "abs",
          abs(fit.intercept - model.c_im), tol.verify_const_abs),
         ("coset_c_re", "C_re", fit.c_re_empirical, model.c_re, "circular",
-         _circ_dist(fit.c_re_empirical, model.c_re, model.spacing),
+         link_distance(fit.c_re_empirical - model.c_re, model.spacing),
          tol.verify_const_abs),
     )
     checks = [
@@ -321,8 +315,7 @@ def _band_counts(re_lo: float, re_hi: float, nu_lo: float, nu_hi: float,
     per_seg = max(tol.winding_initial_per_segment,
                   int(math.ceil((re_hi - re_lo) * L0 * 8.0 / math.pi)))
     right, left = (max(tol.winding_initial_per_segment,
-                       math.ceil((nu_hi - nu_lo) * math.log(x) * per_seg
-                                 / (re_hi - re_lo)))
+                       math.ceil((nu_hi - nu_lo) * math.log(x) * L0 * 8.0 / math.pi))
                    for x in (re_hi, re_lo))
     return per_seg, right, per_seg, left
 
@@ -371,14 +364,15 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     nu0 + delta] around the string slope, with curves shifted vertically by
     im_offset (use the model's C_im to centre the band on the string).
 
-    Each band is walked with an initial grid sampled by length.  Along the
-    two curves it must resolve the dominant phase rate 2*L0, else full
-    turns can alias away near the string.  The two vertical edges get the
-    same density per unit length, but at least
-    tol.winding_initial_per_segment samples: the dominant term
-    e^{2 i lam L0} does not turn along an edge, since its phase depends on
-    Re lam only, so the phase moves fast only near a zero, which adaptive
-    refinement catches at the density of a scan's box sides.
+    Each band is walked with an initial grid sampled by length: L0 8/pi
+    samples per unit of Re along the two curves, 8 a turn of the dominant
+    phase rate 2*L0, else full turns can alias away near the string, and
+    the same density per unit length along the two vertical edges, but at
+    least tol.winding_initial_per_segment samples a side.  That suffices
+    on an edge, where the dominant term e^{2 i lam L0} does not turn (its
+    phase depends on Re lam only), so the phase moves fast only near a
+    zero, which adaptive refinement catches at the density of a scan's box
+    sides.  A band over a narrow window costs about the grid of a box.
 
     ``char_fn`` replaces the spec's lru-cached characteristic function
     with any object having ``values``, as in ``scan_strip``; a fresh

@@ -155,7 +155,9 @@ def validate_spec(spec: ConeSurfaceSpec) -> None:
         for pid in (e.from_point, e.to_point):
             if pid not in seen_p:
                 problems.append(f"edge {e.id!r}: unknown cone point {pid!r}")
-    for e in spec.edges:
+    # the angle checks below read the cone angles at an edge's ends
+    placed = [e for e in spec.edges if {e.from_point, e.to_point} <= seen_p]
+    for e in placed:
         if e.reversal not in seen_e:
             problems.append(f"edge {e.id!r}: unknown reversal {e.reversal!r}")
             continue
@@ -174,7 +176,7 @@ def validate_spec(spec: ConeSurfaceSpec) -> None:
                 f"edge {e.id!r}: arrival direction differs from the departure "
                 f"direction of its reversal at {e.to_point!r}"
             )
-    for e in spec.edges:
+    for e in placed:
         a = spec.cone_point(e.from_point).cone_angle
         if not (0.0 <= e.theta_from < a + 1e-12):
             problems.append(f"edge {e.id!r}: theta_from outside [0, cone angle)")

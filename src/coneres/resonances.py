@@ -43,10 +43,8 @@ import numpy as np
 
 from .errors import (AuditError, EscapedBox, NoConvergence, ZeroNearBoundary)
 from . import tolerances as tol_mod
-from .geometry import ConeSurfaceSpec, length_scales
+from .geometry import TWO_PI, ConeSurfaceSpec, length_scales
 from . import monodromy
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def _winding_numbers(f, path, grids: list[np.ndarray],
             walking[settled] = False
         stop(np.flatnonzero(counts + nbad > tol.winding_max_points),
              "contour refinement exceeded point budget")
-        t0, t1, f0, f1, owner = _kept(steps, walking[steps[4]])
+        t0, t1, f0, f1, owner = steps
         tm = 0.5 * (t0 + t1)
         stop(owner[tm - t0 < 1e-13 * span[owner]],
              "contour refinement below resolution floor")
@@ -638,21 +636,19 @@ def _lines_clear(f, bounds: np.ndarray, frac,
     as a deep dip of |f| along it; phase tracking on the two halves can
     alias a full turn there, so such lines are rejected up front.
 
-    The probe samples a line with the walk's own path formula,
-    va*(1 - t) + vb*t at t = j / (split_line_samples - 1), from corner va
-    to corner vb of the split side of the line's first half (the left
-    half's right side 1, or the bottom half's top side 2).  So at the
-    defaults (t = j/32) its even samples are bit for bit the points where
-    both halves sample their split side, the first half forward and the
-    second backward (IEEE addition commutes), and _split_boxes hands them
-    on.
+    The probe walks each line as a one-segment path made as the walk makes
+    its paths (_polylines), at t = j / (split_line_samples - 1), from the
+    first to the second corner of the split side of the line's first half:
+    the side its second half keeps whole (_whole_sides), the left half's
+    right side 1 or the bottom half's top side 2.  So at the defaults
+    (t = j/32) its even samples are bit for bit the points where both
+    halves sample their split side, the first half forward and the second
+    backward (IEEE addition commutes), and _split_boxes hands them on.
     """
-    m = tol.split_line_samples
     rows = np.arange(len(bounds))[:, None]
-    side = np.where(_along(bounds), 1, 2)[:, None]
+    side = _whole_sides(bounds)[:, 1:]
     ends = _corners(_halves(bounds, frac)[:, 0])[rows, side + [0, 1]]
-    t = np.linspace(0.0, 1.0, m)
-    pts = ends[:, :1] * (1.0 - t) + ends[:, 1:] * t
+    pts = _polylines(ends)(np.linspace(0.0, 1.0, tol.split_line_samples), rows)
     values = _values(f, pts.ravel()).reshape(pts.shape)
     v = np.abs(values)
     sound = np.isfinite(v).all(axis=1) & (v > tol.value_floor).all(axis=1)
@@ -750,11 +746,10 @@ def _split_boxes(f, bounds: np.ndarray, windings: np.ndarray,
         halves[split[walked]], half_windings[split[walked]] = cut[walked], w[walked]
         conserved = walked & (w.sum(axis=1) == windings[split])
         for i in split[walked & ~conserved].tolist():
-            box = _box(bounds[i])
             failed[i] = AuditError(
                 f"winding not conserved under split: {windings[i]} -> "
-                f"{half_windings[i, 0]} + {half_windings[i, 1]} (box {box}, axis "
-                f"{0 if box.width >= box.height else 1}, frac {frac})"
+                f"{half_windings[i, 0]} + {half_windings[i, 1]} (box {_box(bounds[i])}, "
+                f"axis {int(not _along(bounds[[i]])[0])}, frac {frac})"
             )
         live = np.flatnonzero((w != 0) & conserved[:, None])
         keys.append(2 * split[live // 2] + live % 2)
@@ -773,8 +768,8 @@ def _split_boxes(f, bounds: np.ndarray, windings: np.ndarray,
 def _scan_columns(f, bounds: np.ndarray, counts: np.ndarray, sides: np.ndarray,
                   newton_scale: float, tol: tol_mod.Tolerances) -> tuple:
     """The refined zeros of the column boxes, found in rounds: arrays of
-    their column, zero, residual, winding and box bounds, column by column
-    and within a column in the order they were found.
+    their column, zero, residual, winding and box bounds, in the order they
+    were found.
 
     ``counts`` are the column boxes' windings and ``sides`` what each hands
     its halves (_kept_values).  The work of a round is arrays too: the
@@ -784,7 +779,8 @@ def _scan_columns(f, bounds: np.ndarray, counts: np.ndarray, sides: np.ndarray,
     winds more than once (one zero of that multiplicity, within its 4x
     box).  Every other box, and every one-zero box whose start failed, is
     split, and hands its halves the values of the sides they keep whole.
-    Box objects and exceptions are made only for what is raised.
+    Box objects and Newton exceptions are made only for what is raised;
+    _split_boxes makes one exception for each box it cannot split.
     """
     col = np.flatnonzero(counts)
     b, w, sides = bounds[col], np.asarray(counts)[col], sides[col]
@@ -824,9 +820,7 @@ def _scan_columns(f, bounds: np.ndarray, counts: np.ndarray, sides: np.ndarray,
         more = windings.reshape(-1) != 0
         col = np.repeat(col[split], 2)[more]
         b, w = halves.reshape(-1, 4)[more], windings.reshape(-1)[more]
-    col, lam, resid, w, b = (np.concatenate(a) for a in zip(*found))
-    order = np.argsort(col, kind="stable")
-    return col[order], lam[order], resid[order], w[order], b[order]
+    return tuple(np.concatenate(a) for a in zip(*found))
 
 
 # ---------------------------------------------------------------------------
@@ -908,14 +902,17 @@ def _outline_samples(bounds: np.ndarray, sides: np.ndarray,
 
 def _scan_run(f, bounds: np.ndarray, newton_scale: float,
               tol: tol_mod.Tolerances) -> tuple[list[Resonance], int, list[int]]:
-    """The zeros of one run of column boxes (rows of bounds), the audited
-    winding of the run, and the winding of each column.
+    """The zeros of one run of column boxes (rows of bounds), in the order
+    _scan_columns found them, the audited winding of the run, and the
+    winding of each column.
 
     One lock-step walk counts every column box; of its round-0 values only
     what the columns hand their halves (_kept_values) lives on, through
     the rounds, for the run's outline, and it is dropped before that walk.
     The column windings must add up to the winding of the outline, and
-    each column must hold its winding in zeros clear of the boundary guard.
+    each column must hold its winding in zeros clear of the boundary guard;
+    the leftmost column failing either check decides the error, and a
+    column failing both raises the AuditError of its lost zeros.
     """
     p = tol.winding_initial_per_segment
     f0 = np.empty((len(bounds), 4 * p + 1), dtype=complex)
@@ -943,6 +940,7 @@ def _scan_run(f, bounds: np.ndarray, newton_scale: float,
     near = np.flatnonzero(np.minimum.reduce((lam.real - c[:, 0], c[:, 1] - lam.real,
                                              lam.imag - c[:, 2], c[:, 3] - lam.imag))
                           < tol.boundary_guard)
+    near = near[np.argsort(col[near], kind="stable")]
     if lost.size and not (near.size and col[near[0]] < lost[0]):
         raise AuditError(f"column at [{float(bounds[lost[0], 0])}, "
                          f"{float(bounds[lost[0], 1])}] lost zeros")

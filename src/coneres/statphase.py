@@ -32,10 +32,6 @@ from .errors import CostBudgetExceeded, InsufficientData
 from . import tolerances as tol_mod
 
 
-def _nested_to_array(obj) -> np.ndarray:
-    return np.asarray(obj, dtype=float)
-
-
 @dataclass(frozen=True)
 class QuadraticPhase:
     """Symmetric nondegenerate quadratic form, stored row-major."""
@@ -55,14 +51,14 @@ class QuadraticPhase:
 
     @classmethod
     def from_array(cls, a) -> "QuadraticPhase":
-        arr = _nested_to_array(a)
+        arr = np.asarray(a, dtype=float)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         return cls(tuple(tuple(float(x) for x in row) for row in arr))
 
     @property
     def array(self) -> np.ndarray:
-        return _nested_to_array(self.matrix)
+        return np.asarray(self.matrix, dtype=float)
 
     @property
     def n(self) -> int:
@@ -116,7 +112,7 @@ class StatPhaseProblem:
 
     @property
     def amplitude_array(self) -> np.ndarray:
-        return _nested_to_array(self.amplitude_coeffs)
+        return np.asarray(self.amplitude_coeffs, dtype=float)
 
     @property
     def n(self) -> int:

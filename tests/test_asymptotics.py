@@ -200,6 +200,18 @@ def test_log_band_path_rejects_non_finite_bounds(bounds):
         log_band_path(*bounds[:4], im_offset=bounds[4])
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((50.0, 80.0, 0.3, 0.3), "need 0 <= nu_lo < nu_hi"),
+    ((50.0, 80.0, -0.1, 0.3), "need 0 <= nu_lo < nu_hi"),
+    ((80.0, 50.0, 0.1, 0.3), "need 1 < re_lo < re_hi"),
+    ((1.0, 80.0, 0.1, 0.3), "need 1 < re_lo < re_hi"),
+])
+def test_log_band_path_rejects_unordered_bounds(bounds, message):
+    with pytest.raises(ValueError) as info:
+        log_band_path(*bounds)
+    assert str(info.value) == message
+
+
 def test_band_winding_counts_enclosed_ladder(two_cone):
     # a band hugging the string (shifted by C_im) catches one zero per
     # spacing; the count must match the enclosed ladder exactly
@@ -244,6 +256,16 @@ def test_gap_report_samples_band_edges_by_length(request, surface, empty, gap,
     assert (rep.gap_band_empty, rep.gap_winding, rep.string_winding) == (
         empty, gap, string)
     assert n == points
+
+
+@pytest.mark.parametrize("width", [1e-4, 1e-6, 1e-9])
+def test_gap_report_narrow_window_costs_a_box(triangle_345, width):
+    # the band edges get L0 8/pi samples per unit length at any width, so a
+    # narrow window walks a box's floor grid; edges that took the curves'
+    # count per unit of Re cost 58,981 points at width 1e-4
+    rep, n = _counted_gap_report(triangle_345, (100.0, 100.0 + width))
+    assert rep.gap_band_empty and rep.string_winding == 0
+    assert n == 4 * DEFAULT.winding_initial_per_segment + 1
 
 
 @pytest.mark.parametrize("eps, gap", [(0.02, 70), (0.005, 70),

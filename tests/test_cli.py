@@ -100,6 +100,26 @@ def test_scan_verify_two_cone(tmp_path):
     assert "verification PASSED" in r.stdout
 
 
+def test_scan_verify_failure_writes_outputs_and_exits_2(tmp_path):
+    # a spacing allowance no scan meets: the outputs still record the verdict
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text("verify_spacing_abs: 1.0e-9\n")
+    spec_file = tmp_path / "two_cone.yaml"
+    spec_file.write_text(serialize_surface(build_two_cone_surface()))
+    out = tmp_path / "run"
+    r = run_cli("scan", "--input", str(spec_file),
+                "--re", "100", "140", "--nu", "0.28", "0.40", "--verify",
+                "--out", str(out), env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 2, r.stderr
+    assert r.stdout.splitlines()[-1] == "verification FAILED"
+    report = json.loads((out / "report.json").read_text())
+    assert report["verification"]["passed"] is False
+    assert [c["passed"] for c in report["verification"]["checks"]] == [
+        True, False, True, True]
+    summary = (out / "fit_summary.txt").read_text()
+    assert summary.endswith("verification FAILED\n")
+
+
 def _flat_two_cone_file(tmp_path):
     # passes the hypotheses, but a 2*pi cone does not diffract
     spec_file = tmp_path / "flat_two_cone.yaml"
@@ -360,6 +380,21 @@ def test_non_finite_surface_is_one_line(tmp_path, text, message):
         assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
+def test_validate_without_a_surface_is_one_line():
+    r = run_cli("validate")
+    assert r.returncode == 1
+    assert r.stderr == "error: no surface given: use --input or --polygon\n"
+
+
+def test_validate_surface_without_edges_is_one_line(tmp_path):
+    spec_file = tmp_path / "surface.yaml"
+    spec_file.write_text("version: 1\ndimension: 2\ncone_points:\n"
+                         "- id: P1\n  angle: 12.566370614359172\nedges: []\n")
+    r = run_cli("validate", "--input", str(spec_file))
+    assert r.returncode == 1
+    assert r.stderr == "error: surface has no edges\n"
+
+
 def test_validate_square_exit_code():
     r = run_cli("validate", "--polygon", "0,0 1,0 1,1 0,1")
     assert r.returncode == 2
@@ -398,6 +433,15 @@ def test_statphase_check_first_order():
     r = run_cli("statphase-check", "--order", "1")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "slope" in r.stdout
+
+
+def test_statphase_check_runs_the_whole_battery():
+    r = run_cli("statphase-check")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 4
+    assert all(line.endswith("[ok]") for line in lines)
+    assert lines[-1].startswith("nonstationary decay slope ")
 
 
 @pytest.mark.parametrize("override, message", [

@@ -169,6 +169,41 @@ def test_validate_catches_broken_reversal(two_cone):
         validate_spec(bad)
 
 
+def _edited(spec, **edge_fields):
+    """spec with the given fields of its edges replaced (a keyword per edge
+    id: a dict of fields)."""
+    return dataclasses.replace(spec, edges=tuple(
+        dataclasses.replace(e, **edge_fields.get(e.id, {})) for e in spec.edges))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: dataclasses.replace(s, cone_points=s.cone_points + s.cone_points[:1]),
+     "duplicate cone point id 'P1'"),
+    (lambda s: dataclasses.replace(s, edges=s.edges + s.edges[:1]),
+     "duplicate edge id 'f'"),
+    # an edge to an unknown point used to end in a KeyError from cone_point
+    (lambda s: _edited(s, f={"to_point": "Q"}),
+     "edge 'f': unknown cone point 'Q'; "
+     "edge 'fbar': reversal does not swap endpoints"),
+    (lambda s: _edited(s, f={"reversal": "g"}),
+     "edge 'f': unknown reversal 'g'; edge 'fbar': reversal is not an involution"),
+    (lambda s: _edited(s, fbar={"reversal": "fbar"}),
+     "edge 'f': reversal is not an involution; "
+     "edge 'fbar': reversal does not swap endpoints"),
+    (lambda s: _edited(s, fbar={"from_point": "P1", "to_point": "P2"}),
+     "edge 'f': reversal does not swap endpoints; "
+     "edge 'fbar': reversal does not swap endpoints"),
+    (lambda s: _edited(s, f={"theta_to": 1.0}),
+     "edge 'f': arrival direction differs from the departure direction of "
+     "its reversal at 'P2'"),
+], ids=["duplicate-point", "duplicate-edge", "unknown-point", "unknown-reversal",
+        "not-an-involution", "endpoints-not-swapped", "direction-mismatch"])
+def test_validate_names_each_structural_defect(two_cone, edit, message):
+    with pytest.raises(SurfaceValidationError) as info:
+        validate_spec(edit(two_cone))
+    assert str(info.value) == message
+
+
 def test_validate_catches_bad_angles():
     with pytest.raises(SurfaceValidationError):
         validate_spec(ConeSurfaceSpec(

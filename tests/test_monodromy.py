@@ -280,6 +280,19 @@ def test_batched_null_vectors_match_null_vector_bit_for_bit(triangle_345):
         assert mv.residual == residual
 
 
+def test_nudged_inverse_iteration_solves_an_exactly_singular_matrix():
+    # np.linalg.solve raises on the singular matrix; the nudged one
+    # (a + 1e-14 I) gives its null vector e_2 at a residual of the nudge
+    a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, np.ones(2, dtype=complex))
+    v, residual = _nudged_inverse_iteration(a, np.ones(2, dtype=complex) / math.sqrt(2))
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert abs(v[0]) < 1e-13 and abs(v[1]) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(a @ v) < 1e-13
+    assert 0.0 < residual < 1e-13
+
+
 def test_batched_null_vectors_gate_each_lambda(triangle_345):
     lams = _short_tri345_zeros(triangle_345)[:3]
     out = null_vectors(triangle_345, [lams[0], 105.0 - 5.0j, lams[2]],

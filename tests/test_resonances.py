@@ -890,24 +890,34 @@ def test_scan_raises_for_a_box_it_cannot_resolve(zs, region, overrides, message,
             else str(info.value.__cause__)) == cause
 
 
-@pytest.mark.parametrize("drop, guard", [(0, None), (0, 0.2), (-1, 0.2)])
-def test_scan_audits_the_zeros_of_every_column(monkeypatch, drop, guard):
+@pytest.mark.parametrize("drop, guard, reverse", [
+    (0, None, False), (0, 0.2, False), (-1, 0.2, False), (-1, 0.2, True),
+], ids=["0-None", "0-0.2", "-1-0.2", "-1-0.2-reversed"])
+def test_scan_audits_the_zeros_of_every_column(monkeypatch, drop, guard, reverse):
     # a column whose found zeros wind less than the column fails the audit;
     # with a guard that every zero violates, the first column to fail
-    # either check decides which error the scan raises
+    # either check decides which error the scan raises, in whatever order
+    # _scan_columns found the zeros.  ``reverse`` turns that order around
+    # and puts a second zero in the last column: the one left there after
+    # the drop then comes before the first column's zero, and the guard
+    # error of the first column must still win over the lost zero
     scan_columns = resonances._scan_columns
 
     def drop_one(f, bounds, *args):
         found = scan_columns(f, bounds, *args)
-        dropped.append(bounds[found[0][drop]].tolist())
+        if reverse:
+            found = tuple(a[::-1] for a in found)
+        # the zero of the first or the last column
+        pick = (np.argmin if drop == 0 else np.argmax)(found[0])
+        dropped.append(bounds[found[0][pick]].tolist())
         keep = np.ones(found[0].size, dtype=bool)
-        keep[drop] = False
+        keep[pick] = False
         return tuple(a[keep] for a in found)
 
     dropped = []
     monkeypatch.setattr(resonances, "_scan_columns", drop_one)
     tol = with_overrides({} if guard is None else {"boundary_guard": guard})
-    zs = (4.41 - 0.9j, 5.87 - 1.1j, 6.93 - 1.3j)
+    zs = (4.41 - 0.9j, 5.87 - 1.1j, 6.93 - 1.3j) + ((6.98 - 1.3j,) if reverse else ())
     with pytest.raises((AuditError, ZeroNearBoundary)) as info:
         scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.9), tol=tol,
                    char_fn=poly_handle(*zs))

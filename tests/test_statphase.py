@@ -63,6 +63,24 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         # 2-d coefficient array against a 1-d phase
         StatPhaseProblem(q, ((1.0, 0.0), (0.0, 1.0)))
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError) as info:
+            StatPhaseProblem(q, (1.0,), cutoff_radius=radius)
+        assert str(info.value) == "cutoff radius must be positive"
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_expansion_terms_need_an_order_of_at_least_1(order):
+    with pytest.raises(ValueError) as info:
+        quadratic_expansion_terms(problem_1d(0.1), order)
+    assert str(info.value) == "order must be at least 1"
+
+
+@pytest.mark.parametrize("center, radius", [(0.4, 0.4), (0.3, 0.4)])
+def test_nonstationary_decay_needs_a_support_off_zero(center, radius):
+    with pytest.raises(ValueError) as info:
+        nonstationary_decay((0.01, 0.005), center=center, radius=radius)
+    assert str(info.value) == "support must stay away from the stationary point"
 
 
 def test_radial_cutoff_shape():

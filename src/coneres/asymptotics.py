@@ -335,21 +335,9 @@ class GapReport:
     scales: LengthScales
 
     def to_dict(self) -> dict:
-        return {
-            "re_window": list(self.re_window),
-            "delta": self.delta,
-            "im_offset": self.im_offset,
-            "gap_nu_lo": self.gap_nu_lo,
-            "gap_nu_hi": self.gap_nu_hi,
-            "gap_band_empty": self.gap_band_empty,
-            "gap_winding": self.gap_winding,
-            "string_winding": self.string_winding,
-            "string_expected": self.string_expected,
-            "eps_prime": self.eps_prime,
-            "L0": self.scales.L0,
-            "Lprime": self.scales.Lprime,
-            "Lambda": self.scales.Lambda,
-        }
+        d = dict(asdict(self), re_window=list(self.re_window))
+        s = d.pop("scales")
+        return dict(d, L0=s["L0"], Lprime=s["Lprime"], Lambda=s["Lambda"])
 
 
 def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],

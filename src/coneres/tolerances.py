@@ -10,9 +10,9 @@ change (the cotangent guard of the diffraction coefficient, structural
 slack in surface validation) stay with the code that uses them.  The CLI honours the environment
 variable ``CONERES_TOL_OVERRIDES``: it names a YAML file whose keys are a
 subset of the field names below; any other key, a value that is not a
-number of the field's type, an int field below 1, or a float field that
-is not finite or lies outside its range (``with_overrides``), is an
-error.
+number of the field's type, an int field below 1 or above 2**31 - 1, or
+a float field that is not finite or lies outside its range
+(``with_overrides``), is an error.
 """
 from __future__ import annotations
 
@@ -78,6 +78,7 @@ _FLOAT_RANGES = {
     "split_dip_rel_floor": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
 }
 _POSITIVE = (lambda v: v > 0.0, "positive")
+INT_MAX = 2**31 - 1
 
 
 def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
@@ -87,10 +88,12 @@ def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
     ``winding_max_rounds`` and ``winding_reject_frac``, which could not
     bind.  A value must be a number, and an int for an int field; bools
     and strings raise TypeError.  Int fields count samples, points,
-    iterations or retries, so a value below 1 raises ValueError.  So does
-    a float field that is not finite or lies outside its range:
-    ``winding_max_phase_step`` in (0, pi], ``winding_max_mag_step`` above
-    1, ``split_dip_rel_floor`` in (0, 1), every other float field
+    iterations or retries, so a value below 1 raises ValueError, and so
+    does one above INT_MAX = 2**31 - 1, which keeps the product of two
+    counts within the int64 that numpy sizes and indexes with.  A float
+    field raises ValueError too when it is not finite or lies outside its
+    range: ``winding_max_phase_step`` in (0, pi], ``winding_max_mag_step``
+    above 1, ``split_dip_rel_floor`` in (0, 1), every other float field
     positive.
     A step or ratio bound outside its range makes every walk refine until
     it fails, or switches its guard off.
@@ -103,8 +106,9 @@ def with_overrides(mapping: dict, base: Tolerances = DEFAULT) -> Tolerances:
         allowed = int if kind is int else (int, float)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
-        if kind is int and value < 1:
-            raise ValueError(f"{key} must be at least 1, got {value!r}")
+        if kind is int and not 1 <= value <= INT_MAX:
+            raise ValueError(f"{key} must be at least 1 and at most "
+                             f"{INT_MAX}, got {value!r}")
         if kind is float:
             in_range, wording = _FLOAT_RANGES.get(key, _POSITIVE)
             if not math.isfinite(value):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from coneres import (DEFAULT, CharFunction, InsufficientData, LadderModel,
-                     SearchRegion, coset_deviations, fit_log_curve,
+from coneres import (DEFAULT, CharFunction, GapReport, InsufficientData,
+                     LadderModel, LengthScales, SearchRegion, coset_deviations, fit_log_curve,
                      gap_report, ladder_in_window, ladder_model_from_spec,
                      log_band_path, predicted_ladder, scan_strip, verify_scan,
                      build_polygon_double, winding_number, with_overrides)
@@ -335,6 +335,21 @@ def test_gap_report_checks_its_inputs_before_evaluating(two_cone, window, delta,
         gap_report(two_cone, window, delta=delta, im_offset=im_offset,
                    char_fn=cf)
     assert cf.n_evals == 0
+
+
+def test_gap_report_to_dict():
+    rep = GapReport(re_window=(100.0, 150.0), delta=0.02, im_offset=-0.75,
+                    gap_nu_lo=0.12, gap_nu_hi=0.09, gap_band_empty=True,
+                    gap_winding=0, string_winding=17, string_expected=16.5,
+                    eps_prime=None,
+                    scales=LengthScales(L0=5.0, Lprime=9.0, Lambda=0.125,
+                                        maximal_edges=("e2", "e1")))
+    assert rep.to_dict() == {
+        "re_window": [100.0, 150.0], "delta": 0.02, "im_offset": -0.75,
+        "gap_nu_lo": 0.12, "gap_nu_hi": 0.09, "gap_band_empty": True,
+        "gap_winding": 0, "string_winding": 17, "string_expected": 16.5,
+        "eps_prime": None, "L0": 5.0, "Lprime": 9.0, "Lambda": 0.125,
+    }
 
 
 def test_gap_report_triangle_band_inverted(triangle_345):

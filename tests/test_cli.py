@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from coneres import build_two_cone_surface, cli, serialize_surface
+from coneres import (Box, CharFunction, LadderModel, Resonance, ResonanceSet,
+                     SearchRegion, build_two_cone_surface, cli, length_scales,
+                     serialize_surface)
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -138,12 +141,153 @@ def test_scan_without_ladder_model_writes_no_fit(tmp_path):
     assert (out / "fit_summary.txt").read_text().startswith("no fit: ")
 
 
-def test_scan_verify_without_ladder_model_gives_the_reason(tmp_path):
+# _write_outputs on a hand-built set: one resonance with a null mass and
+# one without, written with the two-cone's ladder model and without a model
+_REPORT_JSON = """{
+  "audit": {
+    "resonance_count": 2,
+    "total_winding": 3
+  },
+  "fit": null,
+  "model": MODEL,
+  "region": {
+    "nu_max": 0.35,
+    "nu_min": 0.05,
+    "re_max": 105.0,
+    "re_min": 100.0
+  },
+  "resonances": [
+    {
+      "im": -1.25,
+      "nu": 0.27114039776640936,
+      "null_mass": {
+        "f": 0.625,
+        "fbar": 0.375
+      },
+      "re": 100.5,
+      "residual": 3.5e-12,
+      "winding": 1
+    },
+    {
+      "im": -1.5,
+      "nu": 0.32313768177255725,
+      "null_mass": null,
+      "re": 103.75,
+      "residual": 1e-11,
+      "winding": 2
+    }
+  ],
+  "scales": {
+    "L0": 3.141592653589793,
+    "Lambda": 0.3183098861837907,
+    "Lprime": null,
+    "maximal_edges": [
+      "f",
+      "fbar"
+    ]
+  },
+  "seed": 7,
+  "surface": {
+    "cone_points": [
+      {
+        "angle": 12.566370614359172,
+        "id": "P1"
+      },
+      {
+        "angle": 12.566370614359172,
+        "id": "P2"
+      }
+    ],
+    "dimension": 2,
+    "edges": [
+      {
+        "from": "P1",
+        "id": "f",
+        "length": 3.141592653589793,
+        "to": "P2"
+      },
+      {
+        "from": "P2",
+        "id": "fbar",
+        "length": 3.141592653589793,
+        "to": "P1"
+      }
+    ]
+  },
+  "verification": null
+}
+"""
+
+_MODEL_JSON = """{
+    "L0": 3.141592653589793,
+    "c_im": -0.8056500399812094,
+    "c_prod_im": 0.0,
+    "c_prod_re": -0.0063325739776461136,
+    "c_re": 0.5,
+    "n": 2,
+    "slope": -0.15915494309189535,
+    "spacing": 1.0
+  }"""
+
+
+@pytest.mark.parametrize("with_model", [True, False],
+                         ids=["model", "no-model"])
+def test_write_outputs_bytes(tmp_path, with_model):
+    spec = build_two_cone_surface()
+    # ladder_model_from_spec(spec), written out
+    model = LadderModel(L0=3.141592653589793,
+                        c_prod=complex(-0.0063325739776461136, 0.0))
+    region = SearchRegion(re_min=100.0, re_max=105.0, nu_min=0.05, nu_max=0.35)
+    rs = ResonanceSet(items=(
+        Resonance(lam=complex(100.5, -1.25), residual=3.5e-12, winding=1,
+                  box=Box(100.25, 100.75, -1.5, -1.0),
+                  null_mass=(("f", 0.625), ("fbar", 0.375))),
+        Resonance(lam=complex(103.75, -1.5), residual=1e-11, winding=2,
+                  box=Box(103.5, 104.0, -1.75, -1.25)),
+    ), region=region, total_winding_audited=3)
+    cli._write_outputs(str(tmp_path), spec, length_scales(spec), region, 7,
+                       model if with_model else None, rs, None, None)
+    predicted = ([",-1.539391740360376,0.28939174036037607",
+                  ",-1.5444613969099978,0.04446139690999784"] if with_model
+                 else [",,", ",,"])
+    expected = {
+        "resonances.csv":
+            "re_lambda,im_lambda,residual,winding,nu,"
+            "box_re_lo,box_re_hi,box_im_lo,box_im_hi\n"
+            "100.5,-1.25,3.5e-12,1,0.27114039776640936,"
+            "100.25,100.75,-1.5,-1.0\n"
+            "103.75,-1.5,1e-11,2,0.32313768177255725,"
+            "103.5,104.0,-1.75,-1.25\n",
+        "plot_data.csv":
+            "re,im,nu,predicted_im,deviation\n"
+            f"100.5,-1.25,0.27114039776640936{predicted[0]}\n"
+            f"103.75,-1.5,0.32313768177255725{predicted[1]}\n",
+        "report.json": _REPORT_JSON.replace(
+            "MODEL", _MODEL_JSON if with_model else "null"),
+        "fit_summary.txt": "no fit: insufficient points or no ladder model\n",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert read_bytes(tmp_path / name) == text.encode(), name
+
+
+def test_scan_verify_without_ladder_model_gives_the_reason(tmp_path,
+                                                          monkeypatch):
+    # the refusal comes before the scan: no point is evaluated
+    points = []
+    values = CharFunction.values
+
+    def counted(self, lam):
+        points.append(np.size(lam))
+        return values(self, lam)
+
+    monkeypatch.setattr(CharFunction, "values", counted)
     r = run_cli("scan", "--input", _flat_two_cone_file(tmp_path),
                 "--re", "50", "60", "--nu", "0.02", "0.3", "--verify")
     assert r.returncode == 2
     assert r.stderr == ("cannot verify: no diffractive coupling around "
                         "the maximal cycle\n")
+    assert sum(points) == 0
 
 
 def test_scan_square_fails_hypotheses():
@@ -306,6 +450,22 @@ def test_tolerance_override_bad_file_is_one_line(tmp_path, content):
         assert r.returncode == 1, args
         assert r.stderr.startswith("error: bad tolerance override:"), r.stderr
         assert len(r.stderr.splitlines()) == 1, r.stderr
+
+
+@pytest.mark.parametrize("key, args", [
+    ("split_line_samples", ("scan", "--polygon", "0,0 3,0 0,4",
+                            "--re", "100", "101", "--nu", "0.05", "0.35")),
+    ("quad_points_per_panel", ("statphase-check", "--order", "1")),
+])
+def test_tolerance_override_huge_int_is_one_line(tmp_path, key, args):
+    # 10**20 samples used to end in an OverflowError traceback inside numpy
+    cfg = tmp_path / "tol.yaml"
+    cfg.write_text(f"{key}: 100000000000000000000\n")
+    r = run_cli(*args, env_extra={"CONERES_TOL_OVERRIDES": str(cfg)})
+    assert r.returncode == 1
+    assert r.stderr == (f"error: bad tolerance override: {key} must be at "
+                        "least 1 and at most 2147483647, got "
+                        "100000000000000000000\n")
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,21 @@ def test_int_override_below_one_names_the_field(key, value):
         with_overrides({key: value})
 
 
+@pytest.mark.parametrize("key", INT_FIELDS)
+def test_int_override_above_int_max_names_the_field(key):
+    # a count this large overflowed numpy's index ints inside a scan
+    with pytest.raises(ValueError,
+                       match=rf"^{key} must be at least 1 and at most "
+                             rf"2147483647, got 100000000000000000000$"):
+        with_overrides({key: 10**20})
+
+
+def test_int_override_at_int_max_applies():
+    # only the record is built: a scan at this size would not fit in memory
+    tol = with_overrides({key: 2**31 - 1 for key in INT_FIELDS})
+    assert all(getattr(tol, key) == 2**31 - 1 for key in INT_FIELDS)
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(Tolerances)
                 if type(f.default) is float]
 

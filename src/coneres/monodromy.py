@@ -18,11 +18,18 @@ exponential polynomial
 
     det(I - M) = sum_S (-1)^|S| det A[S, S] lambda^{-|S|/2} e^{i lambda ell_S}
 
-over edge subsets S, with ell_S the summed lengths.  CharFunction holds
-the couplings as the dense E x E matrix A and the edge lengths ell, both
-built once per surface.  CharFunction.values evaluates this sum, with
-the minors taken from A; the Newton derivative, the matrices and null
-vectors keep the stacked LU of I - M.
+over edge subsets S, with ell_S the summed lengths.  Each ell_S is a sum
+of the distinct edge lengths u_l with multiplicities m_{S,l}, so a term
+is a monomial in lambda^{-1/2} and the e^{i lambda u_l}:
+
+    lambda^{-|S|/2} e^{i lambda ell_S}
+        = (lambda^{-1/2})^{|S|} prod_l (e^{i lambda u_l})^{m_{S,l}}.
+
+CharFunction holds the couplings as the dense E x E matrix A and the
+edge lengths ell, both built once per surface.  CharFunction.values
+evaluates this sum from one square root and one exponential per
+distinct length, with the minors taken from A; the Newton derivative,
+the matrices and null vectors keep the stacked LU of I - M.
 """
 from __future__ import annotations
 
@@ -68,12 +75,75 @@ def transfer_entry(spec: ConeSurfaceSpec, e_id: str, f_id: str,
     return c * lam ** -0.5 * np.exp(1j * lam * f.length)
 
 
-# Above this many edges the 2^E-subset sum stops paying: on a 2-vCPU Xeon
-# with one BLAS thread, at batches of 22 to 2000, a hexagon double (E = 12,
-# 65 terms) took 3.8-3.9 against 5.6-6.7 us per point for the LU of I - M,
-# a heptagon double (E = 14, 129 terms) 7.3-7.8 against 7.0-7.9, with
-# 2^14 minors to build.
+# Above this many edges the 2^E-subset sum stops paying.  On a 2-vCPU Xeon
+# with one BLAS thread, in us per point at batches of 22 / 200 / 2000, the
+# sum against the LU of I - M took 6.1 / 0.87 / 0.40 against 4.3 / 3.8 /
+# 4.4 on a hexagon double (E = 12, 65 terms), and 10.8 / 1.7 / 0.75
+# against 5.7 / 5.6 / 6.3 on a heptagon double (E = 14, 129 terms), whose
+# CharFunction, with its 2^14 minors, takes 98 ms to build (hexagon 21 ms).
+# At one point a call the sum's chain of products costs 150 and 300 us,
+# the LU 17 and 21.
 MAX_SUM_EDGES = 12
+
+
+@dataclass(frozen=True)
+class ExponentialSum:
+    """det(I - M) as sum_g coeff[g] lam^{-size[g]/2} e^{i lam ell[g]}.
+
+    One entry per group g of edge subsets S with the same size |S| and
+    the same multiset of edge lengths, so the same term; ``coeff`` sums
+    (-1)^|S| det A[S, S] over the group, and groups summing to zero are
+    dropped.  ``lengths`` are the distinct edge lengths u_l, ascending,
+    and ``mult[g, l]`` counts the edges of length u_l in S, so
+    ``ell[g] = sum_l mult[g, l] * lengths[l]`` and
+    ``size[g] = sum_l mult[g, l]``.
+    """
+    lengths: np.ndarray    # (L,) float
+    size: np.ndarray       # (G,) int, |S|
+    ell: np.ndarray        # (G,) float, ell_S
+    coeff: np.ndarray      # (G,) complex
+    mult: np.ndarray       # (G, L) int, m_{S,l}
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(keys: tuple[tuple[int, ...], ...], dim: int):
+    """Products building the monomial of every exponent vector in ``keys``.
+
+    Slot j < dim holds base factor j, and step i writes slot dim + i as
+    the product of two earlier slots.  A key is one product of two built
+    keys where there is such a pair, else the square of its half where
+    it is even, else its largest built divisor times the rest (built
+    first).  Returns the steps and each key's slot, None for the zero
+    key.  Surfaces of one combinatorial type, such as all scalene
+    triangle doubles, mostly share their keys, hence the cache.
+    """
+    built = {tuple(int(j == i) for j in range(dim)): i for i in range(dim)}
+    steps: list[tuple[int, int]] = []
+
+    def build(key: tuple[int, ...]) -> int:
+        if key in built:
+            return built[key]
+        for part, a in built.items():
+            b = built.get(_minus(key, part))
+            if b is not None:
+                break
+        else:
+            if all(k % 2 == 0 for k in key):
+                a = b = build(tuple(k // 2 for k in key))
+            else:
+                part = max((p for p in built
+                            if all(x <= k for x, k in zip(p, key))), key=sum)
+                a, b = built[part], build(_minus(key, part))
+        built[key] = dim + len(steps)
+        steps.append((a, b))
+        return built[key]
+
+    slots = tuple(build(key) if any(key) else None for key in keys)
+    return tuple(steps), slots
+
+
+def _minus(key: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k - p for k, p in zip(key, part))
 
 
 class CharFunction:
@@ -81,17 +151,22 @@ class CharFunction:
 
     Couplings are lambda-independent, so they are computed once and held
     as the dense coupling matrix ``A`` (E x E, zero where f does not feed
-    e), with the edge lengths ``ell``: M = A D(lambda).  ``values``
-    evaluates the determinant as the exponential sum over the principal
-    minors of ``A`` (module docstring), with the terms grouped by (|S|, ell_S) once here; above MAX_SUM_EDGES edges,
-    where the 2^E minors cost more per point than an LU, it takes the LU
-    determinant.  ``values_and_derivs`` keeps the LU determinant and its
-    Jacobi-formula derivative: Newton runs on them, and a closed-form
-    derivative of the sum would move the last bits of every refined zero.
-    ``matrices`` is the dense M that null vectors factor and that the sum
-    is tested against.  Everything runs over batches of lambda values, and
-    ``n_evals`` counts every point; a scan runs in one process, so its
-    count is exact whatever ``jobs`` says.
+    e), with the edge lengths ``ell``: M = A D(lambda).  Up to
+    MAX_SUM_EDGES edges, ``terms`` is the exponential sum over the
+    principal minors of ``A`` (module docstring) as an ExponentialSum,
+    and ``values`` evaluates it from one lam^{-1/2} and one
+    e^{i lam u_l} per distinct edge length: each term's monomial
+    (lam^{-1/2})^{|S|} prod_l (e^{i lam u_l})^{m_{S,l}} is a fixed chain
+    of products shared between terms, and the terms are summed in one
+    fixed order, so a point's value does not depend on its batch.  Above
+    the cap, where the 2^E minors cost more per point than an LU,
+    ``terms`` is None and ``values`` takes the LU determinant.
+    ``values_and_derivs`` keeps the LU determinant and its Jacobi-formula
+    derivative: Newton runs on them, and a closed-form derivative of the
+    sum would move the last bits of every refined zero.  ``matrices`` is
+    the dense M that null vectors factor and that the sum is tested
+    against.  Everything runs over batches of lambda values, and
+    ``n_evals`` counts every point.
     """
 
     def __init__(self, spec: ConeSurfaceSpec):
@@ -103,11 +178,17 @@ class CharFunction:
             self.A[pos[e.id], pos[f.id]] = coupling_coefficient(spec, e.id, f.id)
         self.ell = np.asarray([e.length for e in spec.edges], dtype=float)
         self.n_evals = 0
-        self._terms = (self._exponential_sum()
-                       if self.size <= MAX_SUM_EDGES else None)
+        self.terms = (self._exponential_sum()
+                      if self.size <= MAX_SUM_EDGES else None)
+        if self.terms is not None:
+            keys = tuple((k, *m) for k, m in zip(self.terms.size.tolist(),
+                                                 self.terms.mult.tolist()))
+            self._steps, slots = _product_plan(keys, 1 + len(self.terms.lengths))
+            self._sum = [(complex(c), slot)
+                         for c, slot in zip(self.terms.coeff, slots)]
 
-    def _exponential_sum(self):
-        """(-|S|/2, ell_S, coefficient) of every nonzero (|S|, ell_S) group.
+    def _exponential_sum(self) -> ExponentialSum:
+        """The nonzero groups of subsets with equal |S| and length multiset.
 
         All 2^E principal minors come from one stacked determinant: the
         minor of S is the determinant of A with the rows and columns
@@ -120,17 +201,18 @@ class CharFunction:
         masked[:, idx, idx] += 1 - inside
         k = inside.sum(axis=1)
         coeff = (-1.0) ** k * np.linalg.det(masked)
-        ell_s = np.zeros(1 << n)
-        for j in np.argsort(self.ell):   # ascending, so equal multisets sum equal
-            ell_s += inside[:, j] * self.ell[j]
-        groups: dict[tuple[int, float], complex] = {}
+        lengths = np.array(sorted(set(self.ell.tolist())))
+        mult = (inside[:, :, None] * (self.ell[:, None] == lengths)).sum(axis=1)
+        groups: dict[tuple[int, ...], list] = {}
         for i in np.flatnonzero(coeff):
-            key = (int(k[i]), float(ell_s[i]))
-            groups[key] = groups.get(key, 0.0) + coeff[i]
-        kept = [(size, length, c) for (size, length), c in groups.items()
-                if c != 0]
-        size, length, c = (np.array(column) for column in zip(*kept))
-        return -0.5 * size, length, c
+            group = groups.setdefault((int(k[i]), *map(int, mult[i])), [i, 0.0])
+            group[1] += coeff[i]
+        kept = [(i, c) for i, c in groups.values() if c != 0]
+        first = np.array([i for i, _ in kept], dtype=int)
+        return ExponentialSum(lengths=lengths, size=k[first],
+                              ell=(inside[first] * self.ell).sum(axis=1),
+                              coeff=np.array([c for _, c in kept]),
+                              mult=mult[first])
 
     def matrices(self, lam: np.ndarray) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None, None]
@@ -148,15 +230,17 @@ class CharFunction:
     def values(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         self.n_evals += lam.size
-        if self._terms is None:
+        if self.terms is None:
             return self._lu(lam)[2]
-        power, ell, coeff = self._terms
-        # lam^{-k/2} e^{i lam ell} as one exponential, principal branch;
-        # einsum sums each row in one fixed order (a matmul's order depends
-        # on the batch), so a point's value does not depend on its batch
-        terms = np.exp(np.multiply.outer(np.log(lam), power)
-                       + np.multiply.outer(1j * lam, ell))
-        return np.einsum("ij,j->i", terms, coeff)
+        # slots: lam^{-1/2} (principal), e^{i lam u_l}, then the products
+        slots = [1.0 / np.sqrt(lam),
+                 *np.exp(np.multiply.outer(self.terms.lengths, 1j * lam))]
+        for a, b in self._steps:
+            slots.append(slots[a] * slots[b])
+        total = np.zeros(lam.shape, dtype=complex)
+        for c, slot in self._sum:
+            total += c if slot is None else c * slots[slot]
+        return total
 
     def values_and_derivs(self, lam) -> tuple[np.ndarray, np.ndarray]:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +258,25 @@ def test_gap_report_samples_band_edges_by_length(request, surface, empty, gap,
     assert (rep.gap_band_empty, rep.gap_winding, rep.string_winding) == (
         empty, gap, string)
     assert n == points
+
+
+GAP_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "gap_pool.json"
+
+
+def test_gap_report_keeps_the_gap_pool_windings():
+    # the 3-4-5 double and 100 random triangle doubles: every gap band
+    # winds 0, and every string band its recorded count
+    with open(GAP_POOL, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    assert (ref["window"], ref["delta"]) == ([100.0, 1100.0], 0.02)
+    entries = [ref["tri345"], *ref["pool"]]
+    assert len(entries) == 101
+    for entry in entries:
+        spec = build_polygon_double(entry["vertices"])
+        rep = gap_report(spec, (100.0, 1100.0), delta=0.02,
+                         im_offset=ladder_model_from_spec(spec).c_im)
+        assert (rep.gap_winding, rep.string_winding, rep.gap_band_empty) == (
+            0, entry["string_winding"], entry["gap_band_empty"]), entry["vertices"]
 
 
 @pytest.mark.parametrize("width", [1e-4, 1e-6, 1e-9])

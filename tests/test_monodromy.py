@@ -94,19 +94,82 @@ def _strip_points(n, seed):
     return rng.uniform(5, 2200, n) + 1j * rng.uniform(-1.5, 0.5, n)
 
 
-@pytest.mark.parametrize("vertices, edges, terms", [
+SURFACES = pytest.mark.parametrize("vertices, edges, terms", [
     (None, 2, 2), ([(0, 0), (3, 0), (0, 4)], 6, 9), (QUADRILATERAL, 8, 17),
     (PENTAGON, 10, 33), (HEXAGON, 12, 65),
 ], ids=["two-cone", "3-4-5", "quadrilateral", "pentagon", "hexagon"])
+
+
+@SURFACES
 def test_exponential_sum_matches_lu(two_cone, vertices, edges, terms):
     spec = two_cone if vertices is None else build_polygon_double(vertices)
     cf = CharFunction(spec)
     assert cf.size == edges <= MAX_SUM_EDGES
-    assert len(cf._terms[2]) == terms     # nonzero (|S|, ell_S) groups
+    assert len(cf.terms.coeff) == terms     # nonzero (|S|, length multiset) groups
     lam = _strip_points(200, seed=edges)
     want = np.linalg.det(np.eye(edges) - cf.matrices(lam))
     got = cf.values(lam)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+@SURFACES
+def test_exponential_sum_record(two_cone, vertices, edges, terms):
+    spec = two_cone if vertices is None else build_polygon_double(vertices)
+    cf = CharFunction(spec)
+    t = cf.terms
+    assert np.array_equal(t.lengths, np.unique(cf.ell))
+    assert t.size.shape == t.ell.shape == t.coeff.shape == (terms,)
+    assert t.mult.shape == (terms, t.lengths.size)
+    # one group per (|S|, multiset); the empty set's term is exactly 1
+    keys = {(k, *m) for k, m in zip(t.size.tolist(), t.mult.tolist())}
+    assert len(keys) == terms
+    assert (t.size[0], t.ell[0], t.coeff[0]) == (0, 0.0, 1.0)
+    assert np.all(t.coeff != 0)
+    assert np.array_equal(t.mult.sum(axis=1), t.size)
+    for ell, m in zip(t.ell, t.mult):
+        assert math.fsum(m * t.lengths) == pytest.approx(ell, rel=1e-14, abs=0.0)
+
+
+def test_hexagon_values_match_lu_deep_in_the_strip():
+    # at Im lam in [-1.5, -1.3] the largest term is 3-14 times |det|, so a
+    # term's rounding, say in its phase, shows that much larger in the sum
+    cf = CharFunction(build_polygon_double(HEXAGON))
+    rng = np.random.default_rng(12)
+    lam = rng.uniform(1200, 2200, 20_000) + 1j * rng.uniform(-1.5, -1.3, 20_000)
+    want = np.linalg.det(np.eye(12) - cf.matrices(lam))
+    assert np.max(np.abs(cf.values(lam) - want) / np.abs(want)) <= 1e-12
+
+
+TRI345_STRINGS = ((0.1, -0.525), (0.125, -0.668), (1 / 6, -0.444))   # nu, Im offset
+
+
+def _mp_determinant(cf, lam, mpmath):
+    """det(I - M(lam)) in 40 digits, from the float couplings, lengths and lam."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam.real, lam.imag)
+        root = mpmath.sqrt(lam)
+        m = mpmath.matrix(cf.size, cf.size)
+        for (e, f), a in np.ndenumerate(cf.A):
+            m[e, f] = int(e == f) - (mpmath.mpc(a.real, a.imag) / root
+                                     * mpmath.exp(1j * lam * mpmath.mpf(cf.ell[f])))
+        return complex(mpmath.det(m))
+
+
+@pytest.mark.parametrize("re, bound", [(1e4, 1e-10), (1e6, 2e-8)])
+def test_values_at_large_re_against_mpmath(triangle_345, re, bound):
+    # 40 seeded points within 0.05 of the three strings of the 3-4-5
+    # double; the float phase lam * u_l carries an error of about
+    # 1e-16 * |lam| u_l, which sets the precision at large Re
+    mpmath = pytest.importorskip("mpmath")
+    cf = CharFunction(triangle_345)
+    rng = np.random.default_rng(int(re))
+    nu, off = np.array([TRI345_STRINGS[i % 3] for i in range(40)]).T
+    x = re + rng.uniform(0.0, 100.0, 40)
+    lam = x + 1j * (off - nu * np.log(x) + rng.uniform(-0.05, 0.05, 40))
+    want = np.array([_mp_determinant(cf, z, mpmath) for z in lam])
+    err = np.max(np.abs(cf.values(lam) - want) / np.abs(want))
+    print(f"Re {re:.0e}: max relative error {err:.2e} (bound {bound:.0e})")
+    assert err <= bound
 
 
 def test_values_take_lu_above_edge_cap():
@@ -130,14 +193,17 @@ def test_values_do_not_depend_on_the_batch(two_cone, vertices):
         assert parts.tobytes() == whole.tobytes()
 
 
-def test_derivative_against_finite_differences(triangle_345):
+def test_derivative_against_cauchy_integral(triangle_345):
+    # the LU derivative against f'(lam) = mean_k f(lam + r e^{it_k}) e^{-it_k} / r,
+    # the trapezoid rule on a circle of radius r; where |f'| is small
+    # (2e-4 at 20 + 0.1j) a difference quotient of step 1e-6 reads its
+    # own rounding, while this one reads f at distance r
     cf = CharFunction(triangle_345)
-    h = 1e-6
+    r, t = 0.02, 2 * math.pi * np.arange(32) / 32
     for lam in (20.0 + 0.1j, 57.0 - 0.3j, 140.0 - 0.05j):
         _, dv = cf.values_and_derivs(np.asarray([lam]))
-        fd = (cf.values(np.asarray([lam + h]))[0]
-              - cf.values(np.asarray([lam - h]))[0]) / (2 * h)
-        assert dv[0] == pytest.approx(fd, rel=1e-6)
+        cauchy = np.mean(cf.values(lam + r * np.exp(1j * t)) * np.exp(-1j * t)) / r
+        assert dv[0] == pytest.approx(cauchy, rel=1e-9)
 
 
 def test_char_function_cached(two_cone):

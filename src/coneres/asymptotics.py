@@ -26,7 +26,7 @@ from . import tolerances as tol_mod
 from .geometry import (TWO_PI, CheckResult, ConeSurfaceSpec, LengthScales,
                        length_scales, link_distance)
 from .monodromy import coupling_coefficient, char_function
-from .resonances import ResonanceSet, winding_number
+from .resonances import ResonanceSet, _polylines, winding_number
 
 
 @dataclass(frozen=True)
@@ -271,10 +271,14 @@ def log_band_path(re_lo: float, re_hi: float, nu_lo: float, nu_hi: float,
                   im_offset: float = 0.0):
     """Closed contour bounding {nu_lo <= nu <= nu_hi} over a Re window.
 
-    The band lies between the curves y = -nu*log(x) + im_offset; the path
-    runs along the lower curve, up the right edge, back along the upper
-    curve and down the left edge.  Returns (path_fn, nseg) for
-    winding_number; bounds not finite or not ordered raise ValueError.
+    The contour is the rectangle re_lo <= x <= re_hi, nu_lo <= nu <= nu_hi
+    of the (Re, nu) chart, held as the points x + i nu and walked by the
+    scan's polyline builder (resonances._polylines), each sample mapped to
+    z = x + i (im_offset - nu log x).  The path runs along the lower
+    curve (nu_hi) left to right, up the right edge, along the upper curve
+    (nu_lo) right to left and down the left edge: counterclockwise.  Returns
+    (path_fn, nseg) for winding_number; bounds not finite or not ordered
+    raise ValueError.
     """
     if not all(map(math.isfinite, (re_lo, re_hi, nu_lo, nu_hi, im_offset))):
         raise ValueError("band bounds and offset must be finite")
@@ -282,29 +286,14 @@ def log_band_path(re_lo: float, re_hi: float, nu_lo: float, nu_hi: float,
         raise ValueError("need 0 <= nu_lo < nu_hi")
     if not (1.0 < re_lo < re_hi):
         raise ValueError("need 1 < re_lo < re_hi")
-
-    def lower(x):
-        return -nu_hi * np.log(x) + im_offset
-
-    def upper(x):
-        return -nu_lo * np.log(x) + im_offset
+    chart = _polylines(np.array([[complex(re_lo, nu_hi), complex(re_hi, nu_hi),
+                                  complex(re_hi, nu_lo), complex(re_lo, nu_lo),
+                                  complex(re_lo, nu_hi)]]))
 
     def path(t):
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.floor(t).astype(int), 0, 3)
-        s = t - seg
-        z = np.empty(t.shape, dtype=complex)
-        m = seg == 0
-        x = re_lo * (1.0 - s[m]) + re_hi * s[m]
-        z[m] = x + 1j * lower(x)
-        m = seg == 1
-        z[m] = re_hi + 1j * (lower(re_hi) * (1.0 - s[m]) + upper(re_hi) * s[m])
-        m = seg == 2
-        x = re_hi * (1.0 - s[m]) + re_lo * s[m]
-        z[m] = x + 1j * upper(x)
-        m = seg == 3
-        z[m] = re_lo + 1j * (upper(re_lo) * (1.0 - s[m]) + lower(re_lo) * s[m])
-        return z
+        w = chart(np.asarray(t, dtype=float), 0)
+        x = w.real
+        return x + 1j * (im_offset - w.imag * np.log(x))
 
     return path, 4
 

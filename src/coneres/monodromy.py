@@ -252,8 +252,10 @@ class CharFunction:
             try:
                 x = np.linalg.solve(a, -dm)
             except np.linalg.LinAlgError:
-                # exactly singular batch member: nudge once off the zero
-                lam = lam * (1.0 + 1e-15) + 1e-300
+                # nudge the exactly singular members once off the zero, or
+                # every member when no LU determinant reads exactly 0
+                hit = det == 0
+                lam = np.where(hit | ~hit.any(), lam * (1.0 + 1e-15) + 1e-300, lam)
                 continue
             return det, det * np.einsum("bii->b", x)
         raise NoConvergence("I - M stays exactly singular after a nudge off the zero")
@@ -288,8 +290,9 @@ def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
                  seed: int = 7) -> list:
     """null_vector at every lambda of ``lams`` in one pass.
 
-    One values call gates every lambda; the matrices of those that pass
-    are built and solved as one stack, falling back to one matrix at a
+    One values call gates every lambda, passing those with |det(I - M)|
+    at most residual_threshold (so not a NaN); the matrices of those that
+    pass are built and solved as one stack, falling back to one matrix at a
     time when a member is exactly singular.  Returns the MonodromyVector,
     or the NoConvergence of a failed gate, of each lambda.
     """
@@ -299,12 +302,13 @@ def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
     if not lams.size:
         return out
     value = np.abs(cf.values(lams))
-    for i in np.flatnonzero(value > residual_threshold):
+    passed = value <= residual_threshold
+    for i in np.flatnonzero(~passed):
         out[i] = NoConvergence(
             f"|det(I-M)| = {value[i]:.3e} exceeds {residual_threshold:.3e}; "
             "refine lambda before requesting a null vector"
         )
-    ok = np.flatnonzero(~(value > residual_threshold))
+    ok = np.flatnonzero(passed)
     a = np.eye(cf.size, dtype=complex) - cf.matrices(lams[ok])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(cf.size) + 1j * rng.standard_normal(cf.size)

@@ -100,10 +100,6 @@ class Box:
         return (self.re_lo <= z.real <= self.re_hi
                 and self.im_lo <= z.imag <= self.im_hi)
 
-    def boundary_distance(self, z: complex) -> float:
-        return min(z.real - self.re_lo, self.re_hi - z.real,
-                   z.imag - self.im_lo, self.im_hi - z.imag)
-
     def inflate(self, factor: float) -> "Box":
         cx, cy = 0.5 * (self.re_lo + self.re_hi), 0.5 * (self.im_lo + self.im_hi)
         hw, hh = 0.5 * self.width * factor, 0.5 * self.height * factor
@@ -171,9 +167,10 @@ class ResonanceSet:
 # phase continuation
 
 
-# Most points in one f.values call (see _values).  values builds (points x
-# terms) temporaries: uncapped, the 3-4-5 scan over Re [100, 300] peaks at
-# 73 MB, not 41 MB.  The samples a walk holds are bounded by column runs.
+# Most points in one f.values call (see _values).  values holds one array
+# of the points per slot of its product chain: uncapped, the 3-4-5 scan
+# over Re [100, 300] peaks at 52 MB of process RSS, not 41 MB.  The
+# samples a walk holds are bounded by column runs.
 MAX_BATCH_POINTS = 4096
 
 
@@ -834,18 +831,19 @@ def _column_boxes(region: SearchRegion, width_hint: float,
 
     Column y-ranges follow the strip's log-curves per column, so the union
     is a staircase superset of the strip with no interior overlap.  The
-    logs are math.log's, whose bits np.log need not share.
+    columns span the strip's width divided evenly, w; the cuts between
+    them lie at re_min + (shift mod w) + k w, less any within 1e-9 w of
+    re_min or re_max, which end the first and the last column.  The logs
+    are math.log's, whose bits np.log need not share.
     """
     span = region.re_max - region.re_min
     ncols = max(1, int(round(span / width_hint)))
     w = span / ncols
-    cuts = [region.re_min + w * k for k in range(ncols + 1)]
-    if shift:
-        s = shift % w
-        shifted = [region.re_min + s + w * k for k in range(ncols)]
-        cuts = [region.re_min] + [x for x in shifted
-                                  if region.re_min + 1e-9 * w < x < region.re_max - 1e-9 * w]
-        cuts.append(region.re_max)
+    s = shift % w
+    inner = [region.re_min + s + w * k for k in range(ncols)]
+    cuts = [region.re_min, *(x for x in inner
+                             if region.re_min + 1e-9 * w < x < region.re_max - 1e-9 * w),
+            region.re_max]
     return np.array([(lo, hi, -region.nu_max * math.log(hi),
                       -region.nu_min * math.log(lo))
                      for lo, hi in zip(cuts[:-1], cuts[1:])], dtype=float)
@@ -977,7 +975,6 @@ def _audit_seams(f, bounds: np.ndarray, run: int, windings: list[int],
 def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
                tol: tol_mod.Tolerances = tol_mod.DEFAULT,
                jobs: int = 1,
-               grid_offset: float = 0.0,
                char_fn=None,
                with_null_vectors: bool = False,
                seed: int = 7) -> ResonanceSet:
@@ -1030,7 +1027,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     run = max(2, tol.winding_max_points // (8 * tol.winding_initial_per_segment))
     last_exc: Exception | None = None
     for attempt in range(tol.grid_retry_shifts):
-        shift = seed_shift + grid_offset + attempt * 0.137 * width
+        shift = seed_shift + attempt * 0.137 * width
         boxes = _column_boxes(region, width, shift)
         try:
             runs = [_scan_run(f, boxes[i:i + run], width, tol)

@@ -192,6 +192,27 @@ def test_log_band_path_closes():
     assert 50.0 <= z.real <= 80.0
 
 
+def test_log_band_path_follows_the_band_curves():
+    # a rectangle of the (Re, nu) chart, mapped onto the two log curves
+    re_lo, re_hi, nu_lo, nu_hi, off = 50.0, 80.0, 0.1, 0.3, -0.7
+    path, nseg = log_band_path(re_lo, re_hi, nu_lo, nu_hi, im_offset=off)
+    s = np.sort(np.random.default_rng(23).uniform(0.0, 1.0, 1000))
+    for seg, nu, step in ((0, nu_hi, 1), (2, nu_lo, -1)):
+        z = path(seg + s)
+        curve = off - nu * np.log(z.real)
+        assert np.all(np.abs(z.imag - curve) <= 2 * np.spacing(np.abs(curve)))
+        assert np.all(step * np.diff(z.real) > 0)
+    for seg, x, step in ((1, re_hi, 1), (3, re_lo, -1)):
+        z = path(seg + s)
+        assert np.all(z.real == x)
+        assert np.all(step * np.diff(z.imag) > 0)
+        assert np.all((off - nu_hi * math.log(x) <= z.imag)
+                      & (z.imag <= off - nu_lo * math.log(x)))
+    # counterclockwise: positive signed area
+    z = path(np.linspace(0.0, nseg, 4001))
+    assert np.sum(z[:-1].real * z[1:].imag - z[1:].real * z[:-1].imag) > 0
+
+
 @pytest.mark.parametrize("bounds", [
     (50.0, math.inf, 0.1, 0.3, 0.0), (50.0, 80.0, 0.1, math.inf, 0.0),
     (math.nan, 80.0, 0.1, 0.3, 0.0), (50.0, 80.0, math.nan, 0.3, 0.0),

@@ -307,6 +307,19 @@ def test_null_vector_rejects_non_resonant_point(two_cone):
         null_vector(two_cone, 100.0 - 5.0j)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lam", [complex(math.nan, 0.0), complex(math.inf, -1.0)])
+def test_null_vector_rejects_a_non_finite_value(two_cone, lam):
+    # |det| is NaN there, and a NaN is never above the threshold
+    with pytest.raises(NoConvergence):
+        null_vector(two_cone, lam)
+    model = ladder_model_from_spec(two_cone)
+    good = predicted_ladder(model, [150])[0]
+    out = null_vectors(two_cone, [good, lam, good])
+    assert isinstance(out[1], NoConvergence)
+    assert [mv.lam for mv in (out[0], out[2])] == [good, good]
+
+
 def test_null_vectors_triangle(triangle_345):
     rs = scan_strip(triangle_345, SearchRegion(100.0, 102.0, 0.05, 0.35),
                     with_null_vectors=True)
@@ -396,3 +409,32 @@ def test_singular_derivative_solve_is_bounded(two_cone, monkeypatch):
     monkeypatch.setattr(monodromy.np.linalg, "solve", always_singular)
     with pytest.raises(NoConvergence):
         CharFunction(two_cone).values_and_derivs(np.array([100.0 - 1.0j]))
+
+
+def test_singular_member_nudges_only_itself(two_cone, monkeypatch):
+    # member 0 reads as exactly singular; member 1 keeps its solo values
+    import coneres.monodromy as monodromy
+
+    cf = CharFunction(two_cone)
+    lams = np.array([100.0 - 1.0j, 101.3 - 0.7j])
+    solo = cf.values_and_derivs(lams[1:])
+    nudged = cf.values_and_derivs(lams[:1] * (1.0 + 1e-15) + 1e-300)
+    singular = cf._lu(lams[:1])[1][0]
+    det, solve = np.linalg.det, np.linalg.solve
+
+    def is_singular(a):
+        return np.array([np.array_equal(m, singular) for m in a])
+
+    def fake_det(a):
+        return np.where(is_singular(a), 0.0, det(a))
+
+    def fake_solve(a, b):
+        if is_singular(a).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(monodromy.np.linalg, "det", fake_det)
+    monkeypatch.setattr(monodromy.np.linalg, "solve", fake_solve)
+    value, deriv = cf.values_and_derivs(lams)
+    assert (value[1], deriv[1]) == (solo[0][0], solo[1][0])
+    assert (value[0], deriv[0]) == (nudged[0][0], nudged[1][0])

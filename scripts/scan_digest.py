@@ -6,8 +6,9 @@
 Imports ``coneres`` from ``CHECKOUT/src`` (default: the checkout this
 script lives in), runs three scans through ``coneres.cli.main`` into a
 temporary directory, and prints one ``sha256  file`` line per output
-file, twelve in all, then one each for ``gap/reports.json`` and
-``statphase/check.txt``:
+file, twelve in all (each scan's ``fit_summary.txt``, ``plot_data.csv``,
+``report.json`` and ``resonances.csv``, in that order), then one each for
+``gap/reports.json`` and ``statphase/check.txt``:
 
 - ``tri345/``: the doubled 3-4-5 triangle,
   ``--re 100 300 --nu 0.05 0.35 --jobs 1``

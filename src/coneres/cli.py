@@ -6,13 +6,13 @@ Subcommands:
   diffraction      evaluate one diffraction coefficient
   statphase-check  run the stationary-phase order battery
 
-Exit codes: 0 success, 1 input or usage error, 2 hypothesis or
-verification failure, a numerical failure of the scan (ZeroNearBoundary,
-AuditError, NoConvergence, EscapedBox), or a statphase-check oracle that
-tolerance overrides put out of reach (CostBudgetExceeded,
-InsufficientData).  Scan outputs are byte-deterministic for a fixed
-surface, region and seed.  --jobs is accepted and ignored, because scans
-run in one process.
+Exit codes: 0 success, 1 input or usage error or out of memory (such as
+a strip too wide to lay out), 2 hypothesis or verification failure, a
+numerical failure of the scan (ZeroNearBoundary, AuditError,
+NoConvergence, EscapedBox), or a statphase-check oracle that tolerance
+overrides put out of reach (CostBudgetExceeded, InsufficientData).  Scan
+outputs are byte-deterministic for a fixed surface, region and seed.
+--jobs is accepted and ignored, because scans run in one process.
 """
 from __future__ import annotations
 
@@ -358,6 +358,8 @@ def main(argv=None) -> int:
         return args.func(args, tol)
     except (SurfaceValidationError, PolygonError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {str(exc) or 'allocation failed'}")
 
 
 if __name__ == "__main__":

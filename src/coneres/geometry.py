@@ -275,22 +275,15 @@ def build_polygon_double(vertices) -> ConeSurfaceSpec:
     return spec
 
 
-def _spec_to_dict(spec: ConeSurfaceSpec) -> dict:
-    cps = [{"id": p.id, "angle": p.cone_angle} for p in spec.cone_points]
-    eds = []
-    for e in spec.edges:
-        eds.append({
-            "id": e.id, "from": e.from_point, "to": e.to_point,
-            "length": e.length, "theta_from": e.theta_from,
-            "theta_to": e.theta_to, "reversal": e.reversal,
-        })
-    return {"version": FORMAT_VERSION, "dimension": 2,
-            "cone_points": cps, "edges": eds}
-
-
 def serialize_surface(spec: ConeSurfaceSpec) -> str:
     """Dump a spec to the versioned text format (YAML)."""
-    return yaml.safe_dump(_spec_to_dict(spec), sort_keys=False)
+    cps = [{"id": p.id, "angle": p.cone_angle} for p in spec.cone_points]
+    eds = [{"id": e.id, "from": e.from_point, "to": e.to_point,
+            "length": e.length, "theta_from": e.theta_from,
+            "theta_to": e.theta_to, "reversal": e.reversal}
+           for e in spec.edges]
+    return yaml.safe_dump({"version": FORMAT_VERSION, "dimension": 2,
+                           "cone_points": cps, "edges": eds}, sort_keys=False)
 
 
 def load_surface(text: str) -> ConeSurfaceSpec:

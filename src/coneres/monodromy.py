@@ -292,9 +292,9 @@ def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
 
     One values call gates every lambda, passing those with |det(I - M)|
     at most residual_threshold (so not a NaN); the matrices of those that
-    pass are built and solved as one stack, falling back to one matrix at a
-    time when a member is exactly singular.  Returns the MonodromyVector,
-    or the NoConvergence of a failed gate, of each lambda.
+    pass are built and solved as one stack, in which an exactly singular
+    member is nudged by 1e-14 I alone (_inverse_iteration).  Returns the
+    MonodromyVector, or the NoConvergence of a failed gate, of each lambda.
     """
     cf = char_function(spec)
     lams = np.asarray(lams, dtype=complex).reshape(-1)
@@ -313,10 +313,7 @@ def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(cf.size) + 1j * rng.standard_normal(cf.size)
     v /= np.linalg.norm(v)
-    try:
-        vs, residuals = _inverse_iteration(a, np.tile(v, (ok.size, 1)))
-    except np.linalg.LinAlgError:
-        vs, residuals = zip(*(_nudged_inverse_iteration(m, v) for m in a))
+    vs, residuals = _inverse_iteration(a, np.tile(v, (ok.size, 1)))
     for i, components, residual in zip(ok, vs, residuals):
         out[i] = MonodromyVector(lam=complex(lams[i]), components=components,
                                  edge_index=cf.edge_index, residual=residual)
@@ -326,23 +323,18 @@ def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
 def _inverse_iteration(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list]:
     """Two inverse-iteration steps on the stack a from the rows of v.
 
-    Returns the unit vectors and their residuals |a v|.  Norms go row by
-    row through np.linalg.norm, as for one matrix, so each row matches
-    _nudged_inverse_iteration bit for bit.
+    Returns the unit vectors and their residuals |a v|.  When the stacked
+    solve meets an exactly singular member, the members whose LU
+    determinant is exactly 0 get 1e-14 I added in place, for good, and
+    the stack is solved again; the others keep their bits.  Norms go row
+    by row through np.linalg.norm, as for one matrix.
     """
     for _ in range(2):
-        w = np.linalg.solve(a, v[..., None])[..., 0]
+        try:
+            w = np.linalg.solve(a, v[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            hit = np.linalg.det(a) == 0
+            a[hit] = a[hit] + np.eye(a.shape[-1]) * 1e-14
+            w = np.linalg.solve(a, v[..., None])[..., 0]
         v = w / np.array([np.linalg.norm(row) for row in w])[:, None]
     return v, [float(np.linalg.norm(r)) for r in (a @ v[..., None])[..., 0]]
-
-
-def _nudged_inverse_iteration(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """_inverse_iteration of one matrix, nudged off exact singularity."""
-    for _ in range(2):
-        try:
-            w = np.linalg.solve(a, v)
-        except np.linalg.LinAlgError:
-            a = a + np.eye(len(a)) * 1e-14
-            w = np.linalg.solve(a, v)
-        v = w / np.linalg.norm(w)
-    return v, float(np.linalg.norm(a @ v))

@@ -864,11 +864,6 @@ def _staircase(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[keep], np.cumsum(keep)[ends] - 2
 
 
-def _staircase_vertices(bounds: np.ndarray) -> np.ndarray:
-    """The vertices of the staircase outline of column boxes (_staircase)."""
-    return _staircase(_corners(bounds))[0]
-
-
 def _outline_samples(bounds: np.ndarray, sides: np.ndarray,
                      tol: tol_mod.Tolerances) -> tuple[np.ndarray, ...]:
     """The vertices, initial grid, round-0 buffer and known mask of the walk
@@ -963,8 +958,8 @@ def _audit_seams(f, bounds: np.ndarray, run: int, windings: list[int],
     its own.
     """
     for i in range(run, len(bounds), run):
-        union = winding_number(f, *polyline_path(_staircase_vertices(bounds[i - 1:i + 1])),
-                               tol)
+        outline = _staircase(_corners(bounds[i - 1:i + 1]))[0]
+        union = winding_number(f, *polyline_path(outline), tol)
         if union != windings[i - 1] + windings[i]:
             raise AuditError(
                 f"winding audit failed where two runs meet at Re {float(bounds[i, 0])}: "

@@ -124,35 +124,22 @@ class StatPhaseProblem:
 
 
 def _poly_deriv(c: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx_axis on an nd coefficient array (low-to-high degree per axis)."""
-    m = c.shape[axis]
-    if m <= 1:
-        shape = list(c.shape)
-        shape[axis] = 1
-        return np.zeros(shape, dtype=c.dtype)
-    moved = np.moveaxis(c, axis, 0)
-    k = np.arange(1, m).reshape((-1,) + (1,) * (c.ndim - 1))
-    return np.moveaxis(moved[1:] * k, 0, axis)
+    """d/dx_axis on an nd coefficient array (low-to-high degree per axis).
+
+    The result has the shape of ``c``, its top coefficient along ``axis``
+    0, so derivatives of one array add without padding.
+    """
+    out = np.zeros_like(c)
+    k = np.arange(1, c.shape[axis]).reshape((-1,) + (1,) * (c.ndim - 1))
+    np.moveaxis(out, axis, 0)[:-1] = np.moveaxis(c, axis, 0)[1:] * k
+    return out
 
 
 def _apply_transport(c: np.ndarray, qinv: np.ndarray) -> np.ndarray:
     """One application of L = sum (Q^{-1})_{jl} d_j d_l to the coefficients."""
     n = qinv.shape[0]
-    out = None
-    for j in range(n):
-        dj = _poly_deriv(c, j)
-        for l in range(n):
-            term = qinv[j, l] * _poly_deriv(dj, l)
-            out = term if out is None else _pad_add(out, term)
-    return out
-
-
-def _pad_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    shape = tuple(max(sa, sb) for sa, sb in zip(a.shape, b.shape))
-    out = np.zeros(shape, dtype=np.result_type(a, b))
-    out[tuple(slice(0, s) for s in a.shape)] += a
-    out[tuple(slice(0, s) for s in b.shape)] += b
-    return out
+    return sum(qinv[j, l] * _poly_deriv(_poly_deriv(c, j), l)
+               for j in range(n) for l in range(n))
 
 
 def quadratic_expansion_terms(problem: StatPhaseProblem,

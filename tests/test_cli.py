@@ -353,6 +353,26 @@ def test_scan_numerical_failure_is_one_line(tmp_path):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("exc, reason", [
+    (MemoryError("Unable to allocate 256. GiB for an array with shape "
+                 "(6442450944, 5) and data type complex128"),
+     "Unable to allocate 256. GiB for an array with shape (6442450944, 5) "
+     "and data type complex128"),
+    (MemoryError(), "allocation failed"),
+])
+def test_scan_out_of_memory_is_one_line(monkeypatch, exc, reason):
+    # a huge winding_initial_per_segment or a very wide strip used to end in
+    # a numpy _ArrayMemoryError / MemoryError traceback
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "scan_strip", out_of_memory)
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "100", "101", "--nu", "0.05", "0.35")
+    assert r.returncode == 1
+    assert r.stderr == f"error: out of memory: {reason}\n"
+
+
 @pytest.mark.parametrize("out", ["a_file", "a_file/run"])
 def test_scan_unwritable_out_is_one_line(tmp_path, out):
     # an existing file as --out, or a directory under one: this used to end

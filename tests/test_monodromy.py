@@ -10,8 +10,7 @@ from coneres import (CharFunction, ConePoint, ConeSurfaceSpec, GeodesicEdge,
                      SearchRegion, build_polygon_double, char_function,
                      coupling_coefficient, ladder_model_from_spec, null_vector,
                      predicted_ladder, scan_strip, transfer_entry)
-from coneres.monodromy import (MAX_SUM_EDGES, _nudged_inverse_iteration,
-                               null_vectors)
+from coneres.monodromy import MAX_SUM_EDGES, null_vectors
 
 FOUR_PI = 4 * math.pi
 C_PROD_TWO_CONE = -1.0 / (16 * math.pi ** 2)
@@ -354,22 +353,12 @@ def test_batched_null_vectors_match_null_vector_bit_for_bit(triangle_345):
         assert mv.residual == one.residual
         # the matrix-by-matrix iteration a scan ran per zero before batching
         a = np.eye(6, dtype=complex) - cf.matrices(np.asarray([lam]))[0]
-        components, residual = _nudged_inverse_iteration(a, v)
+        components = v
+        for _ in range(2):
+            w = np.linalg.solve(a, components)
+            components = w / np.linalg.norm(w)
         assert np.array_equal(mv.components, components)
-        assert mv.residual == residual
-
-
-def test_nudged_inverse_iteration_solves_an_exactly_singular_matrix():
-    # np.linalg.solve raises on the singular matrix; the nudged one
-    # (a + 1e-14 I) gives its null vector e_2 at a residual of the nudge
-    a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(a, np.ones(2, dtype=complex))
-    v, residual = _nudged_inverse_iteration(a, np.ones(2, dtype=complex) / math.sqrt(2))
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
-    assert abs(v[0]) < 1e-13 and abs(v[1]) == pytest.approx(1.0, abs=1e-15)
-    assert np.linalg.norm(a @ v) < 1e-13
-    assert 0.0 < residual < 1e-13
+        assert mv.residual == float(np.linalg.norm(a @ components))
 
 
 def test_batched_null_vectors_gate_each_lambda(triangle_345):
@@ -381,23 +370,43 @@ def test_batched_null_vectors_gate_each_lambda(triangle_345):
     assert null_vectors(triangle_345, []) == []
 
 
-def test_batched_null_vectors_fall_back_per_matrix(triangle_345, monkeypatch):
+def test_null_vectors_nudge_an_exactly_singular_member_alone(triangle_345,
+                                                            monkeypatch):
     import coneres.monodromy as monodromy
 
     lams = _short_tri345_zeros(triangle_345)[:5]
-    want = null_vectors(triangle_345, lams, residual_threshold=1e-4)
-    solve = np.linalg.solve
+    want = null_vectors(triangle_345, lams[:2] + lams[3:], residual_threshold=1e-4)
+    cf = char_function(triangle_345)
+    matrices, solve = cf.matrices, np.linalg.solve
+    singular = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])
 
-    def no_stacks(a, b):
-        if a.ndim > 2:
-            raise np.linalg.LinAlgError("Singular matrix")
+    def third_singular(lam):
+        m = matrices(lam)
+        m[2] = np.eye(6) - singular     # so I - M is exactly `singular`
+        return m
+
+    ndims = []
+
+    def recorded(a, b):
+        ndims.append(np.ndim(a))
         return solve(a, b)
 
-    monkeypatch.setattr(monodromy.np.linalg, "solve", no_stacks)
+    monkeypatch.setattr(cf, "matrices", third_singular)
+    monkeypatch.setattr(monodromy.np.linalg, "solve", recorded)
     got = null_vectors(triangle_345, lams, residual_threshold=1e-4)
-    for g, w in zip(got, want):
+    # the first stacked solve raises, the nudged stack is solved again, then
+    # the second step: no member is solved on its own
+    assert ndims == [3, 3, 3]
+    for g, w in zip(got[:2] + got[3:], want):
         assert np.array_equal(g.components, w.components)
         assert g.residual == w.residual
+    # the nudged member (singular + 1e-14 I) gives the null vector e_6 of
+    # `singular` at a residual of the nudge
+    v = got[2].components
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.abs(v[:5]) < 1e-13) and abs(v[5]) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(singular @ v) < 1e-13
+    assert 0.0 < got[2].residual < 1e-13
 
 
 def test_singular_derivative_solve_is_bounded(two_cone, monkeypatch):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,22 @@ def test_script_runs(script, args):
     r = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                        capture_output=True, text=True, env=env, timeout=300)
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+def test_scan_digest_prints_one_line_per_output():
+    # every byte-identity claim between checkouts rests on these 14 lines
+    env = dict(os.environ)
+    env.pop("CONERES_TOL_OVERRIDES", None)
+    r = subprocess.run([sys.executable, str(SCRIPTS / "scan_digest.py"), "--short"],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr
+    names = [f"{scan}/{name}" for scan in ("tri345", "twocone", "flatcone")
+             for name in ("fit_summary.txt", "plot_data.csv", "report.json",
+                          "resonances.csv")]
+    names += ["gap/reports.json", "statphase/check.txt"]
+    lines = r.stdout.splitlines()
+    assert [line[66:] for line in lines] == names
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
 
 
 def _bench_pairs():

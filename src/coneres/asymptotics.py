@@ -114,10 +114,10 @@ def predicted_ladder(model: LadderModel, ks,
 def ladder_in_window(model: LadderModel, re_lo: float, re_hi: float,
                      tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> np.ndarray:
     """All predicted string zeros with Re(lam) inside [re_lo, re_hi]."""
-    k_lo = math.ceil((re_lo - model.c_re) / model.spacing) - 1
-    k_hi = math.floor((re_hi - model.c_re) / model.spacing) + 1
-    ks = [k for k in range(k_lo, k_hi + 1)
-          if model.c_re + model.spacing * k > 1.0]
+    c_re, spacing = model.c_re, model.spacing
+    k_lo = math.ceil((re_lo - c_re) / spacing) - 1
+    k_hi = math.floor((re_hi - c_re) / spacing) + 1
+    ks = [k for k in range(k_lo, k_hi + 1) if c_re + spacing * k > 1.0]
     if not ks:
         return np.array([], dtype=complex)
     lams = predicted_ladder(model, np.asarray(ks), tol)

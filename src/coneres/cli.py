@@ -6,12 +6,13 @@ Subcommands:
   diffraction      evaluate one diffraction coefficient
   statphase-check  run the stationary-phase order battery
 
-Exit codes: 0 success, 1 input or usage error or out of memory (such as
-a strip too wide to lay out), 2 hypothesis or verification failure, a
-numerical failure of the scan (ZeroNearBoundary, AuditError,
-NoConvergence, EscapedBox), or a statphase-check oracle that tolerance
-overrides put out of reach (CostBudgetExceeded, InsufficientData).  Scan
-outputs are byte-deterministic for a fixed surface, region and seed.
+Exit codes: 0 success, 1 input or usage error (any other OSError or
+ValueError) or out of memory (such as a strip too wide to lay out), 2
+hypothesis or verification failure, or a numerical failure of any
+command: one of NUMERICAL_FAILURES (ZeroNearBoundary, AuditError,
+NoConvergence, EscapedBox, CostBudgetExceeded, InsufficientData), which
+main alone maps to its exit code.  Scan outputs are byte-deterministic
+for a fixed surface, region and seed.
 --jobs is accepted and ignored, because scans run in one process.
 """
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import asdict
 
 from . import tolerances as tol_mod
 from .errors import (AuditError, CostBudgetExceeded, EscapedBox,
-                     GeometricRaySingularity, InsufficientData, NoConvergence,
-                     PolygonError, SurfaceValidationError, ZeroNearBoundary)
+                     InsufficientData, NoConvergence, SurfaceValidationError,
+                     ZeroNearBoundary)
 from .geometry import (build_polygon_double, length_scales, load_surface,
                        validate_hypotheses)
 from .diffraction import DiffractionEvaluator, diffraction_coefficient
@@ -38,6 +39,10 @@ from . import statphase as sp
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
+
+# a numerical failure of any command: main prints it with its type, exit 2
+NUMERICAL_FAILURES = (ZeroNearBoundary, AuditError, NoConvergence, EscapedBox,
+                      CostBudgetExceeded, InsufficientData)
 
 
 def _fail(msg: str, code: int = EXIT_INPUT) -> int:
@@ -156,11 +161,7 @@ def _write_outputs(out: str, spec, scales, region: SearchRegion, seed,
 
 
 def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
-    try:
-        spec = _load_spec(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
+    spec = _load_spec(args)
     hyp = validate_hypotheses(spec, tol)
     if not hyp.passed:
         print(hyp.to_text(), file=sys.stderr)
@@ -173,22 +174,13 @@ def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
     except ValueError as exc:
         model, no_model = None, str(exc)
 
-    try:
-        region = SearchRegion(re_min=args.re[0], re_max=args.re[1],
-                              nu_min=args.nu[0], nu_max=args.nu[1])
-    except ValueError as exc:
-        return _fail(str(exc))
+    region = SearchRegion(re_min=args.re[0], re_max=args.re[1],
+                          nu_min=args.nu[0], nu_max=args.nu[1])
     if args.verify and model is None:
         print(f"cannot verify: {no_model}", file=sys.stderr)
         return EXIT_VERIFY
-    try:
-        rs = scan_strip(spec, region, tol=tol, jobs=args.jobs,
-                        with_null_vectors=not args.no_null_vectors,
-                        seed=args.seed)
-    except (ZeroNearBoundary, AuditError, NoConvergence, EscapedBox) as exc:
-        return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
-    except ValueError as exc:   # a bad --seed, before any evaluation
-        return _fail(str(exc))
+    rs = scan_strip(spec, region, tol=tol, jobs=args.jobs,
+                    with_null_vectors=not args.no_null_vectors, seed=args.seed)
 
     min_re = max(region.re_min, tol.fit_min_re)
     fit = verification = None
@@ -223,10 +215,7 @@ def _cmd_scan(args, tol: tol_mod.Tolerances) -> int:
 
 
 def _cmd_validate(args, tol: tol_mod.Tolerances) -> int:
-    try:
-        spec = _load_spec(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec = _load_spec(args)
     scales = length_scales(spec, tol)
     print(f"dimension 2, {len(spec.cone_points)} cone points, "
           f"{len(spec.edges)} directed edges")
@@ -237,12 +226,10 @@ def _cmd_validate(args, tol: tol_mod.Tolerances) -> int:
     return EXIT_OK if hyp.passed else EXIT_VERIFY
 
 
-def _cmd_diffraction(args) -> int:
-    try:
-        ev = DiffractionEvaluator(cone_angle=args.angle)
-        val = diffraction_coefficient(ev, args.dtheta)
-    except (ValueError, GeometricRaySingularity) as exc:
-        return _fail(str(exc))
+def _cmd_diffraction(args, tol: None) -> int:
+    """One coefficient; main reads no tolerances for it, so tol is None."""
+    val = diffraction_coefficient(DiffractionEvaluator(cone_angle=args.angle),
+                                  args.dtheta)
     print(f"{val.real:.15g} {val.imag:.15g}")
     return EXIT_OK
 
@@ -270,24 +257,20 @@ def _battery_problem(n: int, h: float) -> sp.StatPhaseProblem:
 
 def _cmd_statphase(args, tol: tol_mod.Tolerances) -> int:
     ok = True
-    try:
-        for n, order, hs in _BATTERY:
-            if args.order is not None and order != args.order:
-                continue
-            rep = sp.order_check(lambda h, n=n: _battery_problem(n, h), order,
-                                 hs, tol=tol)
-            print(rep.to_text())
-            ok = ok and rep.passed()
-        if args.order is None:
-            slope = sp.nonstationary_decay((0.012, 0.008, 0.005, 0.003, 0.002),
-                                           tol=tol)
-            passed = slope > 3.0
-            print(f"nonstationary decay slope {slope:.2f} "
-                  f"(require > 3) [{'ok' if passed else 'OFF'}]")
-            ok = ok and passed
-    except (CostBudgetExceeded, InsufficientData) as exc:
-        # an oracle that tolerance overrides put out of reach
-        return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
+    for n, order, hs in _BATTERY:
+        if args.order is not None and order != args.order:
+            continue
+        rep = sp.order_check(lambda h, n=n: _battery_problem(n, h), order, hs,
+                             tol=tol)
+        print(rep.to_text())
+        ok = ok and rep.passed()
+    if args.order is None:
+        slope = sp.nonstationary_decay((0.012, 0.008, 0.005, 0.003, 0.002),
+                                       tol=tol)
+        passed = slope > 3.0
+        print(f"nonstationary decay slope {slope:.2f} "
+              f"(require > 3) [{'ok' if passed else 'OFF'}]")
+        ok = ok and passed
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -346,17 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "diffraction":       # the one command without tolerances
-        return _cmd_diffraction(args)
-    try:
-        tol = tol_mod.from_environment()
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        # str() of a KeyError is the repr of its message, quotes included
-        msg = exc.args[0] if isinstance(exc, KeyError) else exc
-        return _fail(f"bad tolerance override: {msg}")
+    tol = None
+    if args.command != "diffraction":       # the one command without tolerances
+        try:
+            tol = tol_mod.from_environment()
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            # str() of a KeyError is the repr of its message, quotes included
+            msg = exc.args[0] if isinstance(exc, KeyError) else exc
+            return _fail(f"bad tolerance override: {msg}")
     try:
         return args.func(args, tol)
-    except (SurfaceValidationError, PolygonError) as exc:
+    except NUMERICAL_FAILURES as exc:   # before ValueError: InsufficientData is one
+        return _fail(f"{type(exc).__name__}: {exc}", EXIT_VERIFY)
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except MemoryError as exc:
         return _fail(f"out of memory: {str(exc) or 'allocation failed'}")

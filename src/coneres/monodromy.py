@@ -309,7 +309,7 @@ def null_vectors(spec: ConeSurfaceSpec, lams, residual_threshold: float = 1e-6,
             "refine lambda before requesting a null vector"
         )
     ok = np.flatnonzero(passed)
-    a = np.eye(cf.size, dtype=complex) - cf.matrices(lams[ok])
+    a = cf._lu(lams[ok])[1]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(cf.size) + 1j * rng.standard_normal(cf.size)
     v /= np.linalg.norm(v)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,23 +274,40 @@ def _initial_grid(nseg: int, per_segment, tol: tol_mod.Tolerances) -> np.ndarray
 
 
 def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
-    """Number of zeros (with multiplicity) of f inside an axis-aligned box."""
+    """Number of zeros (with multiplicity) of f inside an axis-aligned box.
+
+    The walk goes counterclockwise round the box, so for an f analytic
+    there a negative winding means phase tracking failed: it raises
+    ZeroNearBoundary.
+    """
     path_fn, nseg = polyline_path(box.corners())
-    return winding_number(f, path_fn, nseg, tol)
+    return _checked([_zero_count(winding_number(f, path_fn, nseg, tol))])[0]
+
+
+def _zero_count(winding):
+    """A box's winding (or exception) as its zero count (or exception)."""
+    if isinstance(winding, int) and winding < 0:
+        return ZeroNearBoundary(f"winding {winding} round a box: phase tracking "
+                                "failed on its contour")
+    return winding
 
 
 def _count_zeros(f, bounds: np.ndarray, tol: tol_mod.Tolerances,
                  f0: np.ndarray | None = None) -> list:
     """count_zeros of every box, given as the rows (re_lo, re_hi, im_lo,
-    im_hi) of ``bounds``, in lock-step: the int or exception of each.
+    im_hi) of ``bounds``, in lock-step: the int or exception of each (a
+    ZeroNearBoundary for a negative winding, as count_zeros raises).
 
     f0, if given, receives the round-0 values (see _winding_numbers): box
     k's samples are row k of a (len(bounds), 4 p + 1) grid, side s at
     entries s p to s p + p (p = tol.winding_initial_per_segment).
     """
     grid = _initial_grid(4, None, tol)
-    return _winding_numbers(f, _polylines(_corners(bounds)), [grid] * len(bounds),
-                            tol, f0)
+    counts = _winding_numbers(f, _polylines(_corners(bounds)), [grid] * len(bounds),
+                              tol, f0)
+    for k, w in enumerate(counts):
+        counts[k] = _zero_count(w)
+    return counts
 
 
 def _bounds(boxes: list[Box]) -> np.ndarray:
@@ -894,10 +911,11 @@ def _outline_samples(bounds: np.ndarray, sides: np.ndarray,
 
 
 def _scan_run(f, bounds: np.ndarray, newton_scale: float,
-              tol: tol_mod.Tolerances) -> tuple[list[Resonance], int, list[int]]:
+              tol: tol_mod.Tolerances) -> tuple[tuple, int, list[int]]:
     """The zeros of one run of column boxes (rows of bounds), in the order
     _scan_columns found them, the audited winding of the run, and the
-    winding of each column.
+    winding of each column.  The zeros are the arrays (lam, residual,
+    winding, box bounds); scan_strip makes the Resonance objects.
 
     One lock-step walk counts every column box; of its round-0 values only
     what the columns hand their halves (_kept_values) lives on, through
@@ -940,10 +958,7 @@ def _scan_run(f, bounds: np.ndarray, newton_scale: float,
     if near.size:
         raise ZeroNearBoundary(f"refined zero {complex(lam[near[0]])} violates the "
                                "boundary guard")
-    return ([Resonance(lam=z, residual=r, winding=w, box=Box(*b))
-             for z, r, w, b in zip(lam.tolist(), resid.tolist(), winding.tolist(),
-                                   boxes.tolist())],
-            outer, counts.tolist())
+    return (lam, resid, winding, boxes), outer, counts.tolist()
 
 
 def _audit_seams(f, bounds: np.ndarray, run: int, windings: list[int],
@@ -995,6 +1010,11 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     take over the values earlier walks of their run took at the same
     points (see the module docstring).  Any boundary conflict restarts the
     whole scan on a shifted grid (deterministic shifts).
+
+    The runs hand back their zeros as arrays.  Here they are put in
+    (Re, Im) order, given their null-vector masses when
+    ``with_null_vectors`` asks for them, and made into Resonance objects,
+    each once.
     """
     if not _is_count(seed, least=0):
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
@@ -1035,14 +1055,16 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         raise ZeroNearBoundary(
             f"scan failed after {tol.grid_retry_shifts} grid shifts"
         ) from last_exc
-    items = sorted((r for found, _, _ in runs for r in found),
-                   key=lambda r: (r.lam.real, r.lam.imag))
+    found = [np.concatenate(a) for a in zip(*(zeros for zeros, _, _ in runs))]
+    order = np.lexsort((found[0].imag, found[0].real))   # stable, by (Re, Im)
+    lam, resid, winding, bounds = (a[order].tolist() for a in found)
+    masses = [None] * len(lam)
     if with_null_vectors and spec is not None:
-        vectors = monodromy.null_vectors(spec, [r.lam for r in items],
-                                         residual_threshold=1e-4, seed=seed)
+        vectors = monodromy.null_vectors(spec, lam, residual_threshold=1e-4, seed=seed)
         # a NoConvergence: the residual is too large for a null vector
-        items = [replace(r, null_mass=None if isinstance(mv, NoConvergence)
-                         else tuple(sorted(mv.null_mass().items())))
-                 for r, mv in zip(items, vectors)]
-    return ResonanceSet(items=tuple(items), region=region,
+        masses = [None if isinstance(mv, NoConvergence)
+                  else tuple(sorted(mv.null_mass().items())) for mv in vectors]
+    items = tuple(Resonance(lam=z, residual=r, winding=w, box=Box(*b), null_mass=m)
+                  for z, r, w, b, m in zip(lam, resid, winding, bounds, masses))
+    return ResonanceSet(items=items, region=region,
                         total_winding_audited=sum(outer for _, outer, _ in runs))

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from coneres import (Box, CharFunction, LadderModel, Resonance, ResonanceSet,
-                     SearchRegion, build_two_cone_surface, cli, length_scales,
+from coneres import (AuditError, Box, CharFunction, LadderModel, NoConvergence,
+                     Resonance, ResonanceSet, SearchRegion, ZeroNearBoundary,
+                     build_two_cone_surface, cli, length_scales,
                      serialize_surface)
 
 
@@ -638,6 +639,30 @@ def test_statphase_check_out_of_reach_oracle_is_one_line(tmp_path, override,
     assert r.returncode == 2
     assert r.stderr.startswith(message), r.stderr
     assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, where, name, exc, stderr, code", [
+    (("validate", "--polygon", "0,0 3,0 0,4"), cli, "validate_hypotheses",
+     NoConvergence("x"), "error: NoConvergence: x\n", 2),
+    (("diffraction", "--angle", "12.5", "--dtheta", "1"), cli,
+     "diffraction_coefficient", AuditError("x"), "error: AuditError: x\n", 2),
+    (("statphase-check",), cli.sp, "order_check", ZeroNearBoundary("x"),
+     "error: ZeroNearBoundary: x\n", 2),
+    (("validate", "--polygon", "0,0 3,0 0,4"), cli, "validate_hypotheses",
+     OSError("x"), "error: x\n", 1),
+], ids=["validate-NoConvergence", "diffraction-AuditError",
+        "statphase-ZeroNearBoundary", "validate-OSError"])
+def test_failure_table_gives_one_line_and_its_exit_code(monkeypatch, capsys, argv,
+                                                        where, name, exc, stderr,
+                                                        code):
+    # main maps a failure of any command once; the first two were tracebacks
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(where, name, fail)
+    monkeypatch.delenv("CONERES_TOL_OVERRIDES", raising=False)
+    assert cli.main(list(argv)) == code
+    assert capsys.readouterr().err == stderr
 
 
 def test_no_command_shows_usage():

@@ -225,6 +225,21 @@ def test_count_zeros_conjugate_pair():
     assert count_zeros(h, Box(2.5, 3.5, -1.0, 0.0)) == 1
 
 
+@pytest.mark.parametrize("case", ["pole", "tri345-101-zeros"])
+def test_negative_winding_is_no_zero_count(case, triangle_345):
+    # the walk goes counterclockwise round the box, so a winding below 0
+    # (a pole inside, or phase tracking that lost turns on a 3-4-5 box of
+    # 101 zeros) is a failure, not a count of -1
+    if case == "pole":
+        f, box = FunctionHandle(lambda lam: 1.0 / (lam - (2.0 + 1.0j))), Box(1, 3, 0, 2)
+    else:
+        f, box = char_function(triangle_345), Box(20, 70, -1.050, 0.5)
+    with pytest.raises(ZeroNearBoundary, match="^winding -1 round a box"):
+        count_zeros(f, box)
+    (got,) = _count_zeros(f, _bounds([box]), DEFAULT)
+    assert type(got) is ZeroNearBoundary and str(got).startswith("winding -1 ")
+
+
 def test_lockstep_walk_matches_count_zeros_box_by_box():
     zeros, boxes = CASE_ZEROS, CASE_BOXES
     tol = with_overrides({"winding_max_points": 150})
@@ -977,6 +992,29 @@ def test_scan_of_a_strip_down_to_the_real_axis():
     got = rs.lambdas()
     assert got.size == 2 and rs.total_winding_audited == 2
     assert abs(got[0] - z0) < 1e-9 and abs(got[1] - z1) < 1e-9
+
+
+def test_scan_retries_a_negative_column_count_on_a_shifted_grid(monkeypatch):
+    # a column winding below 0 is a boundary failure: the scan starts again
+    # on the next grid shift instead of failing its winding audit
+    h = poly_handle(5.13 - 0.8j, 7.02 - 1.2j)
+    region = SearchRegion(4.0, 8.0, 0.3, 0.8)
+    clean = scan_strip(None, region, char_fn=h)
+    walks = resonances._winding_numbers
+    calls = []
+
+    def first_column_negative(*args, **kwargs):
+        out = walks(*args, **kwargs)
+        if not calls:   # the first run's column counts
+            out[0] = -1
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(resonances, "_winding_numbers", first_column_negative)
+    rs = scan_strip(None, region, char_fn=h)
+    assert np.allclose(rs.lambdas(), clean.lambdas(), atol=1e-9)
+    assert rs.total_winding_audited == 2
+    assert all(a.box != b.box for a, b in zip(rs.items, clean.items))
 
 
 def test_scan_zeros_do_not_depend_on_the_column_grid():

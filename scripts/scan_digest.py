@@ -4,14 +4,17 @@
     python3 scripts/scan_digest.py [CHECKOUT] [--short]
 
 Imports ``coneres`` from ``CHECKOUT/src`` (default: the checkout this
-script lives in), runs three scans through ``coneres.cli.main`` into a
+script lives in), runs four scans through ``coneres.cli.main`` into a
 temporary directory, and prints one ``sha256  file`` line per output
-file, twelve in all (each scan's ``fit_summary.txt``, ``plot_data.csv``,
+file, sixteen in all (each scan's ``fit_summary.txt``, ``plot_data.csv``,
 ``report.json`` and ``resonances.csv``, in that order), then one each for
 ``gap/reports.json`` and ``statphase/check.txt``:
 
 - ``tri345/``: the doubled 3-4-5 triangle,
   ``--re 100 300 --nu 0.05 0.35 --jobs 1``
+- ``tri345-runs/``: the same scan with ``CONERES_TOL_OVERRIDES`` naming a
+  file of ``winding_max_points: 512`` for this scan alone, so its columns
+  are taken in runs of 4; its four digests equal those of ``tri345/``
 - ``twocone/``: ``build_two_cone_surface()`` written as a surface file,
   ``--re 50 500 --nu 0.28 0.42 --jobs 2 --verify``
 - ``flatcone/``: ``build_two_cone_surface(cone_angle=2*pi)`` written as
@@ -27,9 +30,9 @@ file, twelve in all (each scan's ``fit_summary.txt``, ``plot_data.csv``,
 
 Two checkouts produce byte-identical scans, reports and battery output
 exactly when ``diff`` finds no difference between the outputs of this
-script run on each.  ``--short`` cuts the first two strips to a few units of Re and
-both gap windows to Re [100, 120], for smoke tests; the third strip is
-that short already, and the battery always runs in full.
+script run on each.  ``--short`` cuts the first three strips to a few
+units of Re and both gap windows to Re [100, 120], for smoke tests; the
+fourth strip is that short already, and the battery always runs in full.
 The scans' own stdout goes to stderr; the exit code is the first
 nonzero exit code of a scan or of the battery, or 0.
 """
@@ -41,17 +44,24 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
+
+
+# the tolerance overrides file of a scan, by output name
+OVERRIDES = {"tri345-runs": "winding_max_points: 512\n"}
 
 
 def scans(surface: Path, flat: Path, short: bool) -> dict[str, list[str]]:
     """``coneres scan`` arguments of each reference scan, by output name."""
+    tri345 = ["--polygon", "0,0 3,0 0,4", "--re", "100",
+              "104" if short else "300", "--nu", "0.05", "0.35", "--jobs", "1"]
     return {
-        "tri345": ["--polygon", "0,0 3,0 0,4", "--re", "100",
-                   "104" if short else "300", "--nu", "0.05", "0.35",
-                   "--jobs", "1"],
+        "tri345": tri345,
+        "tri345-runs": tri345,
         "twocone": ["--input", str(surface), "--re", "50",
                     "70" if short else "500", "--nu", "0.28", "0.42",
                     "--jobs", "2", "--verify"],
@@ -93,7 +103,11 @@ def main(argv=None) -> int:
             build_two_cone_surface(cone_angle=2 * math.pi)))
         runs = scans(surface, flat, args.short)
         for name, scan_args in runs.items():
-            with contextlib.redirect_stdout(sys.stderr):
+            env = {}
+            if name in OVERRIDES:
+                env["CONERES_TOL_OVERRIDES"] = str(root / f"{name}.yaml")
+                (root / f"{name}.yaml").write_text(OVERRIDES[name])
+            with contextlib.redirect_stdout(sys.stderr), mock.patch.dict(os.environ, env):
                 rc = cli.main(["scan", *scan_args, "--out", str(root / name)])
             if rc:
                 print(f"error: {name} scan exited {rc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NoConvergence
+from .errors import InsufficientData, NoConvergence, ZeroNearBoundary
 from . import tolerances as tol_mod
 from .geometry import (TWO_PI, CheckResult, ConeSurfaceSpec, LengthScales,
                        length_scales, link_distance)
@@ -363,8 +363,11 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     their shared edge in opposite directions.  Cost grows with the
     window, as a scan's does.
 
-    Raises ValueError, before any evaluation, unless 1 < re_lo < re_hi,
-    delta > 0 and im_offset are finite.
+    Each piece is walked counterclockwise, so for a char function analytic
+    there a negative piece winding means phase tracking failed: it raises
+    ZeroNearBoundary, naming the band and the winding.  Raises ValueError,
+    before any evaluation, unless 1 < re_lo < re_hi, delta > 0 and
+    im_offset are finite.
     """
     re_lo, re_hi = float(re_window[0]), float(re_window[1])
     if not (1.0 < re_lo < re_hi < math.inf and 0.0 < delta < math.inf
@@ -377,20 +380,26 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
     nu0 = 1 / (2.0 * scales.L0)
     f = char_function(spec) if char_fn is None else char_fn
 
-    def winding(lo: float, hi: float, offset: float) -> int:
+    def winding(band: str, lo: float, hi: float, offset: float) -> int:
         """Winding of the band nu in [lo, hi], summed over its Re pieces."""
         size = 1 + sum(_band_counts(re_lo, re_hi, lo, hi, scales.L0, tol))
         pieces = 1 + (size - 1) // (tol.winding_max_points // 2)
         cuts = np.linspace(re_lo, re_hi, pieces + 1).tolist()
-        return sum(
-            winding_number(f, *log_band_path(a, b, lo, hi, offset), tol,
-                           per_segment=_band_counts(a, b, lo, hi, scales.L0, tol))
-            for a, b in zip(cuts[:-1], cuts[1:]))
+        total = 0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            w = winding_number(f, *log_band_path(a, b, lo, hi, offset), tol,
+                               per_segment=_band_counts(a, b, lo, hi, scales.L0, tol))
+            if w < 0:   # the piece is walked counterclockwise
+                raise ZeroNearBoundary(
+                    f"winding {w} round the {band} band over Re [{a}, {b}]: "
+                    "phase tracking failed on its contour")
+            total += w
+        return total
 
     gap_lo, gap_hi = nu0 + delta, scales.Lambda - delta
     empty = gap_lo >= gap_hi
-    gap_w = 0 if empty else winding(gap_lo, gap_hi, 0.0)
-    string_w = winding(max(nu0 - delta, 0.0), nu0 + delta, im_offset)
+    gap_w = 0 if empty else winding("gap", gap_lo, gap_hi, 0.0)
+    string_w = winding("string", max(nu0 - delta, 0.0), nu0 + delta, im_offset)
 
     eps_prime: float | None
     t1 = 1.5 - 2.0 * scales.L0 * (scales.Lambda - delta)

@@ -19,8 +19,9 @@ those of its split side from the split-line probe, and a run's outline
 takes its bottom and top from the column walk, each at a point bit for
 bit equal to the one evaluated.  As values is batch-invariant, every walk
 consumes the very samples and values it would evaluate alone.  Every
-subdivision, every run and every cut between two runs are audited:
-windings must be conserved exactly.
+subdivision and every run are audited: windings must be conserved
+exactly.  A run also counts the next run's first column, so that each cut
+between two runs lies inside an audited outline.
 
 A round's work is arrays, not objects: each box is a row of bounds
 (re_lo, re_hi, im_lo, im_hi) with its column and winding, and the array
@@ -278,7 +279,13 @@ def count_zeros(f, box: Box, tol: tol_mod.Tolerances = tol_mod.DEFAULT) -> int:
 
     The walk goes counterclockwise round the box, so for an f analytic
     there a negative winding means phase tracking failed: it raises
-    ZeroNearBoundary.
+    ZeroNearBoundary.  It starts from tol.winding_initial_per_segment
+    samples a side (16 at the defaults), whatever the side's length, and
+    refines only where a step looks large.  So on a long or deep box, where
+    f turns many times along a side, whole turns can alias away and the
+    count comes out wrong with no error.  For such a box walk
+    winding_number(f, *polyline_path(box.corners()), per_segment=...) with
+    counts scaled by each side's length times f's phase rate there.
     """
     path_fn, nseg = polyline_path(box.corners())
     return _checked([_zero_count(winding_number(f, path_fn, nseg, tol))])[0]
@@ -293,18 +300,20 @@ def _zero_count(winding):
 
 
 def _count_zeros(f, bounds: np.ndarray, tol: tol_mod.Tolerances,
-                 f0: np.ndarray | None = None) -> list:
+                 f0: np.ndarray | None = None,
+                 known: np.ndarray | None = None) -> list:
     """count_zeros of every box, given as the rows (re_lo, re_hi, im_lo,
     im_hi) of ``bounds``, in lock-step: the int or exception of each (a
     ZeroNearBoundary for a negative winding, as count_zeros raises).
 
     f0, if given, receives the round-0 values (see _winding_numbers): box
     k's samples are row k of a (len(bounds), 4 p + 1) grid, side s at
-    entries s p to s p + p (p = tol.winding_initial_per_segment).
+    entries s p to s p + p (p = tol.winding_initial_per_segment).  The
+    entries ``known`` marks already hold their values.
     """
     grid = _initial_grid(4, None, tol)
     counts = _winding_numbers(f, _polylines(_corners(bounds)), [grid] * len(bounds),
-                              tol, f0)
+                              tol, f0, known)
     for k, w in enumerate(counts):
         counts[k] = _zero_count(w)
     return counts
@@ -699,12 +708,13 @@ def _split_boxes(f, bounds: np.ndarray, windings: np.ndarray,
     the box's.
 
     Each pass probes the current split line of every unsplit box in one
-    values call and walks the halves of every clear line in one lock-step
-    walk; a box whose line or walk fails tries its next _SPLIT_FRACTIONS
-    entry in the next pass.  Returns the bounds (len(bounds), 2, 4) and the
-    windings (len(bounds), 2) of the two halves of every box, the exception
-    of every box that could not be split (None where it could), and the
-    _kept_values of every half that winds, in box-then-half order.
+    values call and counts the halves of every clear line in one lock-step
+    walk (_count_zeros); a box whose line or walk fails, as a half that
+    winds negative does, tries its next _SPLIT_FRACTIONS entry in the next
+    pass.  Returns the bounds (len(bounds), 2, 4) and the windings
+    (len(bounds), 2) of the two halves of every box, the exception of every
+    box that could not be split (None where it could), and the _kept_values
+    of every half that winds, in box-then-half order.
 
     A half's walk does not evaluate again the samples its split side shares
     with the probe (bit for bit, which one compare checks), nor the side it
@@ -747,8 +757,8 @@ def _split_boxes(f, bounds: np.ndarray, windings: np.ndarray,
         known[at] = _same_bits(path(grid[at[2]], 2 * row + half),
                                probe[go[:, None, None], j])
         del probe, probed, at   # only f0 and known go into the walk
-        counts = _winding_numbers(f, path, [grid] * (2 * go.size), tol,
-                                  f0.reshape(-1), known.reshape(-1))
+        counts = _count_zeros(f, cut.reshape(-1, 4), tol, f0.reshape(-1),
+                              known.reshape(-1))
         bad = np.array([isinstance(c, Exception) for c in counts],
                        dtype=bool).reshape(-1, 2)
         w = np.array([0 if isinstance(c, Exception) else c for c in counts],
@@ -910,18 +920,21 @@ def _outline_samples(bounds: np.ndarray, sides: np.ndarray,
     return vertices, grid, f0, known
 
 
-def _scan_run(f, bounds: np.ndarray, newton_scale: float,
-              tol: tol_mod.Tolerances) -> tuple[tuple, int, list[int]]:
-    """The zeros of one run of column boxes (rows of bounds), in the order
-    _scan_columns found them, the audited winding of the run, and the
-    winding of each column.  The zeros are the arrays (lam, residual,
-    winding, box bounds); scan_strip makes the Resonance objects.
+def _scan_run(f, bounds: np.ndarray, own: int, newton_scale: float,
+              tol: tol_mod.Tolerances) -> tuple[tuple, int]:
+    """The zeros of the first ``own`` column boxes of a run (rows of
+    bounds), in the order _scan_columns found them, and the audited winding
+    of those columns.  The zeros are the arrays (lam, residual, winding,
+    box bounds); scan_strip makes the Resonance objects.
 
     One lock-step walk counts every column box; of its round-0 values only
     what the columns hand their halves (_kept_values) lives on, through
     the rounds, for the run's outline, and it is dropped before that walk.
-    The column windings must add up to the winding of the outline, and
-    each column must hold its winding in zeros clear of the boundary guard;
+    The column windings must add up to the winding of the outline.  A row
+    past ``own`` is the next run's first column: the outline walks round
+    it, so the cut between the runs lies inside the outline, but its zeros
+    are the next run's, which counts it again on the same samples.  Each
+    own column must hold its winding in zeros clear of the boundary guard;
     the leftmost column failing either check decides the error, and a
     column failing both raises the AuditError of its lost zeros.
     """
@@ -931,8 +944,8 @@ def _scan_run(f, bounds: np.ndarray, newton_scale: float,
                       dtype=int)
     sides = _kept_values(f0, np.arange(len(bounds)), bounds)
     del f0
-    col, lam, resid, winding, boxes = _scan_columns(f, bounds, counts, sides,
-                                                    newton_scale, tol)
+    col, lam, resid, winding, boxes = _scan_columns(f, bounds[:own], counts[:own],
+                                                    sides[:own], newton_scale, tol)
     total_cols = int(counts.sum())
     vertices, grid, f0, known = _outline_samples(bounds, sides, tol)
     del sides
@@ -943,10 +956,10 @@ def _scan_run(f, bounds: np.ndarray, newton_scale: float,
             f"winding audit failed on the columns over Re [{float(bounds[0, 0])}, "
             f"{float(bounds[-1, 1])}]: columns total {total_cols}, outer contour {outer}"
         )
-    # each column, left to right: its zeros' windings, then the guard
+    # each own column, left to right: its zeros' windings, then the guard
     # against zeros hugging an audit line of the tiling
-    lost = np.flatnonzero(np.bincount(col, weights=winding, minlength=len(bounds))
-                          != counts)
+    lost = np.flatnonzero(np.bincount(col, weights=winding, minlength=own)
+                          != counts[:own])
     c = bounds[col]
     near = np.flatnonzero(np.minimum.reduce((lam.real - c[:, 0], c[:, 1] - lam.real,
                                              lam.imag - c[:, 2], c[:, 3] - lam.imag))
@@ -958,28 +971,7 @@ def _scan_run(f, bounds: np.ndarray, newton_scale: float,
     if near.size:
         raise ZeroNearBoundary(f"refined zero {complex(lam[near[0]])} violates the "
                                "boundary guard")
-    return (lam, resid, winding, boxes), outer, counts.tolist()
-
-
-def _audit_seams(f, bounds: np.ndarray, run: int, windings: list[int],
-                 tol: tol_mod.Tolerances) -> None:
-    """Where two runs of column boxes (rows of bounds) meet, the two columns
-    beside the cut must wind as much as the staircase outline of their
-    union, else AuditError.
-
-    Each run's outline walks the cut side with the samples of the column
-    beside it, so no run audit covers that side; the union's outline
-    leaves the shared stretch of the cut inside and walks on samples of
-    its own.
-    """
-    for i in range(run, len(bounds), run):
-        outline = _staircase(_corners(bounds[i - 1:i + 1]))[0]
-        union = winding_number(f, *polyline_path(outline), tol)
-        if union != windings[i - 1] + windings[i]:
-            raise AuditError(
-                f"winding audit failed where two runs meet at Re {float(bounds[i, 0])}: "
-                f"columns {windings[i - 1]} + {windings[i]}, their outline {union}"
-            )
+    return (lam, resid, winding, boxes), int(counts[:own].sum())
 
 
 def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
@@ -1002,14 +994,15 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     3,125 at the defaults, so that a run's staircase outline (about 64
     initial samples a column) takes half the point budget, as gap_report's
     band pieces do; but at least 2, as the outline of one column is that
-    column's own contour, walked again.  The column windings of each run
-    must add up to the winding of its outline, and where two runs meet,
-    the windings of the two columns beside the cut must add up to the
-    winding of their union's outline, else AuditError.  That outline is
-    walked on samples of its own; the split halves and the run outlines
-    take over the values earlier walks of their run took at the same
-    points (see the module docstring).  Any boundary conflict restarts the
-    whole scan on a shifted grid (deterministic shifts).
+    column's own contour, walked again.  Each run but the last also counts
+    the next run's first column, so the cut between them lies inside its
+    outline, and the column windings of each run must add up to the
+    winding of its outline, else AuditError.  The next run counts that
+    column again on the same samples and finds its zeros.  The split
+    halves and the run outlines take over the values earlier walks of
+    their run took at the same points (see the module docstring).  Any
+    boundary conflict restarts the whole scan on a shifted grid
+    (deterministic shifts).
 
     The runs hand back their zeros as arrays.  Here they are put in
     (Re, Im) order, given their null-vector masses when
@@ -1045,9 +1038,9 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         shift = seed_shift + attempt * 0.137 * width
         boxes = _column_boxes(region, width, shift)
         try:
-            runs = [_scan_run(f, boxes[i:i + run], width, tol)
+            runs = [_scan_run(f, boxes[i:i + run + 1], min(run, len(boxes) - i),
+                              width, tol)
                     for i in range(0, len(boxes), run)]
-            _audit_seams(f, boxes, run, [w for _, _, ws in runs for w in ws], tol)
             break
         except ZeroNearBoundary as exc:
             last_exc = exc
@@ -1055,7 +1048,7 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
         raise ZeroNearBoundary(
             f"scan failed after {tol.grid_retry_shifts} grid shifts"
         ) from last_exc
-    found = [np.concatenate(a) for a in zip(*(zeros for zeros, _, _ in runs))]
+    found = [np.concatenate(a) for a in zip(*(zeros for zeros, _ in runs))]
     order = np.lexsort((found[0].imag, found[0].real))   # stable, by (Re, Im)
     lam, resid, winding, bounds = (a[order].tolist() for a in found)
     masses = [None] * len(lam)
@@ -1067,4 +1060,4 @@ def scan_strip(spec: ConeSurfaceSpec | None, region: SearchRegion,
     items = tuple(Resonance(lam=z, residual=r, winding=w, box=Box(*b), null_mass=m)
                   for z, r, w, b, m in zip(lam, resid, winding, bounds, masses))
     return ResonanceSet(items=items, region=region,
-                        total_winding_audited=sum(outer for _, outer, _ in runs))
+                        total_winding_audited=sum(audited for _, audited in runs))

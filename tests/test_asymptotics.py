@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneres import (DEFAULT, CharFunction, GapReport, InsufficientData,
-                     LadderModel, LengthScales, SearchRegion, coset_deviations, fit_log_curve,
+from coneres import (DEFAULT, CharFunction, FunctionHandle, GapReport,
+                     InsufficientData, LadderModel, LengthScales, SearchRegion,
+                     ZeroNearBoundary, coset_deviations, fit_log_curve,
                      gap_report, ladder_in_window, ladder_model_from_spec,
                      log_band_path, predicted_ladder, scan_strip, verify_scan,
                      build_polygon_double, winding_number, with_overrides)
@@ -258,6 +259,18 @@ def test_gap_report_two_cone(two_cone):
     shifted = gap_report(two_cone, (100.0, 120.0), im_offset=m.c_im)
     assert shifted.string_winding == 20
     assert shifted.string_expected == pytest.approx(20.0)
+
+
+def test_gap_report_raises_on_a_negative_band_winding(two_cone):
+    # a pole inside the string band (nu = 1/(2 pi)) makes it wind -1; the
+    # band is walked counterclockwise, so no zero count can be negative
+    cf = CharFunction(two_cone)
+    p = 150.3 - 1j * math.log(150.3) / TWO_PI
+    h = FunctionHandle(lambda z: cf.values(z) / (z - p))
+    with pytest.raises(ZeroNearBoundary,
+                       match=r"^winding -1 round the string band over "
+                             r"Re \[150\.0, 151\.0\]: phase tracking failed"):
+        gap_report(two_cone, (150.0, 151.0), char_fn=h)
 
 
 def _counted_gap_report(spec, re_window, tol=DEFAULT):

@@ -75,12 +75,13 @@ class Recorded:
         return self.f.values(lam)
 
 
-def reference_winding_numbers(f, path, grids, tol, f0=None):
+def reference_winding_numbers(f, path, grids, tol, f0=None, known=None):
     """resonances._winding_numbers as a full recompute: every round re-tests
     every sample of every live contour and inserts the midpoints into
     full-length arrays.  The step walk must reproduce its windings, its
     exceptions and its values batches.  A round-0 buffer f0, if given,
-    receives the initial values, as in the step walk."""
+    receives the initial values, as in the step walk; ``known`` is taken,
+    as _count_zeros passes it, and not read."""
     n = len(grids)
     out = [None] * n
     span = np.array([g[-1] for g in grids])
@@ -238,6 +239,24 @@ def test_negative_winding_is_no_zero_count(case, triangle_345):
         count_zeros(f, box)
     (got,) = _count_zeros(f, _bounds([box]), DEFAULT)
     assert type(got) is ZeroNearBoundary and str(got).startswith("winding -1 ")
+
+
+# a 3-4-5 box 10 wide and 1.8 deep: its zeros, counted on 20 slices
+DEEP_BOX, DEEP_BOX_ZEROS = Box(1000.0, 1010.0, -1.317, 0.5), 16
+
+
+def test_slices_of_the_deep_box_count_its_zeros(triangle_345):
+    f = char_function(triangle_345)
+    assert sum(count_zeros(f, Box(1000.0 + 0.5 * k, 1000.5 + 0.5 * k,
+                                  DEEP_BOX.im_lo, DEEP_BOX.im_hi))
+               for k in range(20)) == DEEP_BOX_ZEROS
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4's gate: count_zeros starts from 16 samples a side, so "
+    "whole turns along the deep box's sides alias away and it counts 0"))
+def test_count_zeros_counts_every_zero_of_a_deep_box(triangle_345):
+    assert count_zeros(char_function(triangle_345), DEEP_BOX) == DEEP_BOX_ZEROS
 
 
 def test_lockstep_walk_matches_count_zeros_box_by_box():
@@ -668,6 +687,29 @@ def test_guarded_split_walk_failure_tries_next_line():
                        match="all split lines rejected") as info:
         _checked(split_boxes(h, [(box, 1)]))
     assert isinstance(info.value.__cause__, ZeroNearBoundary)
+
+
+def test_split_half_of_negative_winding_fails_its_line():
+    # two zeros and a pole in a box of winding 1: every split line leaves
+    # the zeros on one side and the pole on the other, a half that winds
+    # -1, which fails its line as a column count of -1 fails; so the box
+    # is not split into (2, -1), and the scan's rounds end at once in a
+    # boundary failure, which a scan retries on a shifted grid
+    a, b, p = 5.2 - 1j, 5.3 - 1j, 5.8 - 1j
+    h = FunctionHandle(lambda z: (z - a) * (z - b) / (z - p),
+                       lambda z: ((2 * z - a - b) * (z - p) - (z - a) * (z - b))
+                       / (z - p) ** 2)
+    box = Box(5, 6, -1.3, -0.7)
+    assert count_zeros(h, box) == 1
+    with pytest.raises(ZeroNearBoundary, match="all split lines rejected") as info:
+        _checked(split_boxes(h, [(box, 1)]))
+    assert str(info.value.__cause__).startswith("winding -1 round a box")
+    bounds = _bounds([box])
+    f0 = np.empty((1, 4 * DEFAULT.winding_initial_per_segment + 1), complex)
+    counts = np.array(_checked(_count_zeros(h, bounds, DEFAULT, f0.reshape(-1))))
+    with pytest.raises(ZeroNearBoundary, match="all split lines rejected"):
+        resonances._scan_columns(h, bounds, counts, _kept_values(f0, [0], bounds),
+                                 0.1, DEFAULT)
 
 
 def test_lockstep_split_matches_guarded_split_box_by_box():
@@ -1185,16 +1227,60 @@ def test_scan_in_runs_matches_one_run(triangle_345, monkeypatch, budget, run,
     assert cut.total_winding_audited == whole.total_winding_audited == 77
 
 
+def spy_run_counts(monkeypatch):
+    """(bounds, own, counts) of every run the scan takes: its rows, the next
+    run's first column included, how many of them are its own, and the
+    windings its count walk gave them."""
+    runs = []
+    scan_run, count_zeros = resonances._scan_run, resonances._count_zeros
+
+    def spy_run(f, bounds, own, *args):
+        runs.append((bounds.copy(), own, None))
+        return scan_run(f, bounds, own, *args)
+
+    def spy_count(f, bounds, *args):
+        counts = count_zeros(f, bounds, *args)
+        if runs and runs[-1][2] is None:   # the run's first walk counts its columns
+            runs[-1] = runs[-1][:2] + (list(counts),)
+        return counts
+
+    monkeypatch.setattr(resonances, "_scan_run", spy_run)
+    monkeypatch.setattr(resonances, "_count_zeros", spy_count)
+    return runs
+
+
 def test_scan_audits_every_run(triangle_345, monkeypatch):
-    # a column winding one too high in the second run fails that run's audit
+    # a column winding one too high in the second run fails that run's
+    # audit, whose outline ends at the right side of the next run's first
+    # column
     runs = spy_runs(monkeypatch, doctor_run=1)
+    counted = spy_run_counts(monkeypatch)
     tol = with_overrides({"winding_max_points": 8 * 16 * 13})
     with pytest.raises(AuditError, match="winding audit failed") as info:
         scan_strip(triangle_345, SearchRegion(100.0, 120.0, 0.05, 0.35), tol=tol)
-    assert len(runs) == 2
+    assert len(runs) == len(counted) == 2
+    bounds, own, _ = counted[1]
+    assert (own, len(bounds)) == (13, 14)
     assert str(info.value).startswith(
         f"winding audit failed on the columns over Re [{runs[1][0].re_lo}, "
-        f"{runs[1][-1].re_hi}]: columns total ")
+        f"{float(bounds[-1, 1])}]: columns total ")
+
+
+def test_run_lookahead_column_is_counted_alike_by_both_runs(triangle_345,
+                                                            monkeypatch):
+    # each run but the last counts the next run's first column too, on the
+    # same bounds, so with the same samples and winding; its zeros are found
+    # once, by the run that owns it
+    runs = spy_run_counts(monkeypatch)
+    tol = with_overrides({"winding_max_points": 8 * 16 * 13})
+    rs = scan_strip(triangle_345, SearchRegion(100.0, 120.0, 0.05, 0.35), tol=tol)
+    assert [(len(b), own) for b, own, _ in runs] == [(14, 13)] * 4 + [(13, 13)]
+    for (b, _, counts), (b_next, _, counts_next) in zip(runs, runs[1:]):
+        assert b[-1].tobytes() == b_next[0].tobytes()
+        assert counts[-1] == counts_next[0]
+    assert sum(counts[-1] for _, _, counts in runs[:-1]) > 0
+    assert rs.total_winding_audited == sum(sum(c[:own]) for _, own, c in runs)
+    assert rs.total_winding_audited == len(rs.items) == 77
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7])
@@ -1203,9 +1289,9 @@ def test_scan_does_not_lose_a_zero_pair_hugging_a_run_cut(gap, sign):
     # runs of 4 columns cut the strip at Re 5, 6 and 7; two zeros sit just
     # right or just left of the cut at Re 6.  The scan finds every zero or
     # raises AuditError.  With both zeros right of the cut by 1e-3, the
-    # columns and the run outlines walk the cut with the same samples and
-    # agree on a lost zero; only the union of the two columns beside the
-    # cut sees it.
+    # columns walk the cut with the same samples and lose a zero; the
+    # outline of the run left of the cut walks round the next run's first
+    # column, with the cut inside, and sees it.
     zs = (6.0 + sign * gap - 1.0j, 6.0 + sign * 2 * gap - 1.0j, 4.41 - 0.9j)
     tol = with_overrides({"winding_max_points": 8 * 16 * 4})
     try:
@@ -1213,8 +1299,8 @@ def test_scan_does_not_lose_a_zero_pair_hugging_a_run_cut(gap, sign):
                         char_fn=poly_handle(*zs))
     except AuditError as exc:
         if (gap, sign) == (1e-3, 1):
-            assert str(exc) == ("winding audit failed where two runs meet at "
-                                "Re 6.0: columns 0 + 1, their outline 2")
+            assert str(exc) == ("winding audit failed on the columns over "
+                                "Re [5.0, 6.25]: columns total 1, outer contour 2")
     else:
         assert (gap, sign) != (1e-3, 1)
         assert np.allclose(rs.lambdas(), sorted(zs, key=lambda z: z.real),

@@ -24,20 +24,22 @@ def test_script_runs(script, args):
 
 
 def test_scan_digest_prints_one_line_per_output():
-    # every byte-identity claim between checkouts rests on these 14 lines;
-    # this is also the test that the script runs
+    # every byte-identity claim between checkouts rests on these 18 lines;
+    # this is also the test that the script runs.  The scan taken in runs
+    # of 4 columns writes the bytes of the one-run scan
     env = dict(os.environ)
     env.pop("CONERES_TOL_OVERRIDES", None)
     r = subprocess.run([sys.executable, str(SCRIPTS / "scan_digest.py"), "--short"],
                        capture_output=True, text=True, env=env, timeout=300)
     assert r.returncode == 0, r.stdout + r.stderr
-    names = [f"{scan}/{name}" for scan in ("tri345", "twocone", "flatcone")
-             for name in ("fit_summary.txt", "plot_data.csv", "report.json",
-                          "resonances.csv")]
+    files = ("fit_summary.txt", "plot_data.csv", "report.json", "resonances.csv")
+    names = [f"{scan}/{name}" for scan in ("tri345", "tri345-runs", "twocone",
+                                           "flatcone") for name in files]
     names += ["gap/reports.json", "statphase/check.txt"]
     lines = r.stdout.splitlines()
     assert [line[66:] for line in lines] == names
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    assert [line[:64] for line in lines[4:8]] == [line[:64] for line in lines[:4]]
 
 
 def _bench_pairs():

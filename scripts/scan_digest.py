@@ -14,7 +14,9 @@ file, sixteen in all (each scan's ``fit_summary.txt``, ``plot_data.csv``,
   ``--re 100 300 --nu 0.05 0.35 --jobs 1``
 - ``tri345-runs/``: the same scan with ``CONERES_TOL_OVERRIDES`` naming a
   file of ``winding_max_points: 512`` for this scan alone, so its columns
-  are taken in runs of 4; its four digests equal those of ``tri345/``
+  are taken in runs of 4; its four digests equal those of ``tri345/``;
+  every other scan and the battery run with the variable cleared, so the
+  caller's tolerance overrides never reach a digest
 - ``twocone/``: ``build_two_cone_surface()`` written as a surface file,
   ``--re 50 500 --nu 0.28 0.42 --jobs 2 --verify``
 - ``flatcone/``: ``build_two_cone_surface(cone_angle=2*pi)`` written as
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
             build_two_cone_surface(cone_angle=2 * math.pi)))
         runs = scans(surface, flat, args.short)
         for name, scan_args in runs.items():
-            env = {}
+            env = {"CONERES_TOL_OVERRIDES": ""}    # "" reads as no overrides
             if name in OVERRIDES:
                 env["CONERES_TOL_OVERRIDES"] = str(root / f"{name}.yaml")
                 (root / f"{name}.yaml").write_text(OVERRIDES[name])
@@ -119,7 +121,8 @@ def main(argv=None) -> int:
     digest = hashlib.sha256(gap_reports(args.short).encode()).hexdigest()
     print(f"{digest}  gap/reports.json")
     battery = io.StringIO()
-    with contextlib.redirect_stdout(battery):
+    with contextlib.redirect_stdout(battery), \
+            mock.patch.dict(os.environ, {"CONERES_TOL_OVERRIDES": ""}):
         rc = cli.main(["statphase-check"])
     digest = hashlib.sha256(battery.getvalue().encode()).hexdigest()
     print(f"{digest}  statphase/check.txt")

@@ -21,12 +21,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NoConvergence, ZeroNearBoundary
+from .errors import InsufficientData, NoConvergence
 from . import tolerances as tol_mod
 from .geometry import (TWO_PI, CheckResult, ConeSurfaceSpec, LengthScales,
                        length_scales, link_distance)
 from .monodromy import coupling_coefficient, char_function
-from .resonances import ResonanceSet, _polylines, winding_number
+from .resonances import (ResonanceSet, _checked, _polylines, _zero_count,
+                         winding_number)
 
 
 @dataclass(frozen=True)
@@ -389,11 +390,8 @@ def gap_report(spec: ConeSurfaceSpec, re_window: tuple[float, float],
         for a, b in zip(cuts[:-1], cuts[1:]):
             w = winding_number(f, *log_band_path(a, b, lo, hi, offset), tol,
                                per_segment=_band_counts(a, b, lo, hi, scales.L0, tol))
-            if w < 0:   # the piece is walked counterclockwise
-                raise ZeroNearBoundary(
-                    f"winding {w} round the {band} band over Re [{a}, {b}]: "
-                    "phase tracking failed on its contour")
-            total += w
+            region = f"the {band} band over Re [{a}, {b}]"
+            total += _checked([_zero_count(w, region)])[0]
         return total
 
     gap_lo, gap_hi = nu0 + delta, scales.Lambda - delta

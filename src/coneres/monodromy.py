@@ -16,14 +16,11 @@ Since M = A D(lambda) with lambda-independent couplings A and
 D = diag(lambda^{-1/2} e^{i lambda ell_f}), the determinant is the
 exponential polynomial
 
-    det(I - M) = sum_S (-1)^|S| det A[S, S] lambda^{-|S|/2} e^{i lambda ell_S}
+    det(I - M) = sum_S c_S prod_l (lambda^{-1/2} e^{i lambda u_l})^{m_{S,l}}
 
-over edge subsets S, with ell_S the summed lengths.  Each ell_S is a sum
-of the distinct edge lengths u_l with multiplicities m_{S,l}, so a term
-is a monomial in lambda^{-1/2} and the e^{i lambda u_l}:
-
-    lambda^{-|S|/2} e^{i lambda ell_S}
-        = (lambda^{-1/2})^{|S|} prod_l (e^{i lambda u_l})^{m_{S,l}}.
+over edge subsets S, with c_S = (-1)^|S| det A[S, S] and m_{S,l} the
+number of edges of S whose length is the l-th distinct edge length u_l:
+one factor lambda^{-1/2} e^{i lambda ell_f} per edge f of S.
 
 CharFunction holds the couplings as the dense E x E matrix A and the
 edge lengths ell, both built once per surface.  CharFunction.values
@@ -77,12 +74,12 @@ def transfer_entry(spec: ConeSurfaceSpec, e_id: str, f_id: str,
 
 # Above this many edges the 2^E-subset sum stops paying.  On a 2-vCPU Xeon
 # with one BLAS thread, in us per point at batches of 22 / 200 / 2000, the
-# sum against the LU of I - M took 6.1 / 0.87 / 0.40 against 4.3 / 3.8 /
-# 4.4 on a hexagon double (E = 12, 65 terms), and 10.8 / 1.7 / 0.75
-# against 5.7 / 5.6 / 6.3 on a heptagon double (E = 14, 129 terms), whose
-# CharFunction, with its 2^14 minors, takes 98 ms to build (hexagon 21 ms).
-# At one point a call the sum's chain of products costs 150 and 300 us,
-# the LU 17 and 21.
+# sum against the LU of I - M took 4.6 / 0.78 / 0.44 against 3.5 / 3.2 /
+# 3.4 on a hexagon double (E = 12, 65 terms), and 9.0 / 1.4 / 0.70
+# against 4.4 / 3.9 / 4.4 on a heptagon double (E = 14, 129 terms), whose
+# CharFunction, with its 2^14 minors, takes 90 ms to build (hexagon 28 ms).
+# At one point a call the sum's chain of products costs 125 and 240 us,
+# the LU 15 and 16.
 MAX_SUM_EDGES = 12
 
 
@@ -90,8 +87,8 @@ MAX_SUM_EDGES = 12
 class ExponentialSum:
     """det(I - M) as sum_g coeff[g] lam^{-size[g]/2} e^{i lam ell[g]}.
 
-    One entry per group g of edge subsets S with the same size |S| and
-    the same multiset of edge lengths, so the same term; ``coeff`` sums
+    One entry per group g of edge subsets S with the same multiset of
+    edge lengths, so the same term; ``coeff`` sums
     (-1)^|S| det A[S, S] over the group, and groups summing to zero are
     dropped.  ``lengths`` are the distinct edge lengths u_l, ascending,
     and ``mult[g, l]`` counts the edges of length u_l in S, so
@@ -109,41 +106,28 @@ class ExponentialSum:
 def _product_plan(keys: tuple[tuple[int, ...], ...], dim: int):
     """Products building the monomial of every exponent vector in ``keys``.
 
-    Slot j < dim holds base factor j, and step i writes slot dim + i as
-    the product of two earlier slots.  A key is one product of two built
-    keys where there is such a pair, else the square of its half where
-    it is even, else its largest built divisor times the rest (built
-    first).  Returns the steps and each key's slot, None for the zero
-    key.  Surfaces of one combinatorial type, such as all scalene
-    triangle doubles, mostly share their keys, hence the cache.
+    A key is a term's row m_{S,l}, and its monomial the product
+    prod_l B_l^{m_{S,l}} of the base factors B_l = lam^{-1/2} e^{i lam u_l}
+    in slots l < dim.  Step i writes slot dim + i as the product of two
+    earlier slots: a key is its largest built part times the rest, the
+    rest built first.  Returns the steps and each key's slot, None for
+    the zero key.  Surfaces of one combinatorial type, such as all
+    scalene triangle doubles, mostly share their keys, hence the cache.
     """
     built = {tuple(int(j == i) for j in range(dim)): i for i in range(dim)}
     steps: list[tuple[int, int]] = []
 
     def build(key: tuple[int, ...]) -> int:
-        if key in built:
-            return built[key]
-        for part, a in built.items():
-            b = built.get(_minus(key, part))
-            if b is not None:
-                break
-        else:
-            if all(k % 2 == 0 for k in key):
-                a = b = build(tuple(k // 2 for k in key))
-            else:
-                part = max((p for p in built
-                            if all(x <= k for x, k in zip(p, key))), key=sum)
-                a, b = built[part], build(_minus(key, part))
-        built[key] = dim + len(steps)
-        steps.append((a, b))
+        if key not in built:
+            part = max((p for p in built
+                        if all(x <= k for x, k in zip(p, key))), key=sum)
+            rest = build(tuple(k - p for k, p in zip(key, part)))
+            built[key] = dim + len(steps)
+            steps.append((built[part], rest))
         return built[key]
 
     slots = tuple(build(key) if any(key) else None for key in keys)
     return tuple(steps), slots
-
-
-def _minus(key: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k - p for k, p in zip(key, part))
 
 
 class CharFunction:
@@ -155,9 +139,9 @@ class CharFunction:
     MAX_SUM_EDGES edges, ``terms`` is the exponential sum over the
     principal minors of ``A`` (module docstring) as an ExponentialSum,
     and ``values`` evaluates it from one lam^{-1/2} and one
-    e^{i lam u_l} per distinct edge length: each term's monomial
-    (lam^{-1/2})^{|S|} prod_l (e^{i lam u_l})^{m_{S,l}} is a fixed chain
-    of products shared between terms, and the terms are summed in one
+    e^{i lam u_l} per distinct edge length: each term
+    c_S prod_l (lam^{-1/2} e^{i lam u_l})^{m_{S,l}} is a fixed chain of
+    products shared between terms, and the terms are summed in one
     fixed order, so a point's value does not depend on its batch.  Above
     the cap, where the 2^E minors cost more per point than an LU,
     ``terms`` is None and ``values`` takes the LU determinant.
@@ -181,14 +165,13 @@ class CharFunction:
         self.terms = (self._exponential_sum()
                       if self.size <= MAX_SUM_EDGES else None)
         if self.terms is not None:
-            keys = tuple((k, *m) for k, m in zip(self.terms.size.tolist(),
-                                                 self.terms.mult.tolist()))
-            self._steps, slots = _product_plan(keys, 1 + len(self.terms.lengths))
+            keys = tuple(map(tuple, self.terms.mult.tolist()))
+            self._steps, slots = _product_plan(keys, len(self.terms.lengths))
             self._sum = [(complex(c), slot)
                          for c, slot in zip(self.terms.coeff, slots)]
 
     def _exponential_sum(self) -> ExponentialSum:
-        """The nonzero groups of subsets with equal |S| and length multiset.
+        """The nonzero groups of subsets with equal length multisets.
 
         All 2^E principal minors come from one stacked determinant: the
         minor of S is the determinant of A with the rows and columns
@@ -205,7 +188,7 @@ class CharFunction:
         mult = (inside[:, :, None] * (self.ell[:, None] == lengths)).sum(axis=1)
         groups: dict[tuple[int, ...], list] = {}
         for i in np.flatnonzero(coeff):
-            group = groups.setdefault((int(k[i]), *map(int, mult[i])), [i, 0.0])
+            group = groups.setdefault(tuple(map(int, mult[i])), [i, 0.0])
             group[1] += coeff[i]
         kept = [(i, c) for i, c in groups.values() if c != 0]
         first = np.array([i for i, _ in kept], dtype=int)
@@ -232,9 +215,11 @@ class CharFunction:
         self.n_evals += lam.size
         if self.terms is None:
             return self._lu(lam)[2]
-        # slots: lam^{-1/2} (principal), e^{i lam u_l}, then the products
-        slots = [1.0 / np.sqrt(lam),
-                 *np.exp(np.multiply.outer(self.terms.lengths, 1j * lam))]
+        # slots: lam^{-1/2} e^{i lam u_l} (principal root), then the
+        # products; one length at a time, as a broadcast rounds by batch
+        root = 1.0 / np.sqrt(lam)
+        slots = [e * root for e in
+                 np.exp(np.multiply.outer(self.terms.lengths, 1j * lam))]
         for a, b in self._steps:
             slots.append(slots[a] * slots[b])
         total = np.zeros(lam.shape, dtype=complex)

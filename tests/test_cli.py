@@ -374,6 +374,15 @@ def test_scan_out_of_memory_is_one_line(monkeypatch, exc, reason):
     assert r.stderr == f"error: out of memory: {reason}\n"
 
 
+def test_scan_too_wide_strip_is_one_line():
+    # 3.2e8 columns, some 70 GB laid out: refused before any is built
+    r = run_cli("scan", "--polygon", "0,0 3,0 0,4",
+                "--re", "100", "1e8", "--nu", "0.05", "0.35")
+    assert r.returncode == 1
+    assert r.stderr == ("error: out of memory: the strip needs 318309568 "
+                        "columns, more than MAX_COLUMNS = 4194304\n")
+
+
 @pytest.mark.parametrize("out", ["a_file", "a_file/run"])
 def test_scan_unwritable_out_is_one_line(tmp_path, out):
     # an existing file as --out, or a directory under one: this used to end

@@ -93,18 +93,22 @@ def _strip_points(n, seed):
     return rng.uniform(5, 2200, n) + 1j * rng.uniform(-1.5, 0.5, n)
 
 
-SURFACES = pytest.mark.parametrize("vertices, edges, terms", [
-    (None, 2, 2), ([(0, 0), (3, 0), (0, 4)], 6, 9), (QUADRILATERAL, 8, 17),
-    (PENTAGON, 10, 33), (HEXAGON, 12, 65),
+# steps: complex multiplies a point costs in values beyond its terms' sum,
+# one per distinct length's lam^{-1/2} scaling and one per plan step
+SURFACES = pytest.mark.parametrize("vertices, edges, terms, steps", [
+    (None, 2, 2, 2), ([(0, 0), (3, 0), (0, 4)], 6, 9, 12),
+    (QUADRILATERAL, 8, 17, 22), (PENTAGON, 10, 33, 40), (HEXAGON, 12, 65, 74),
 ], ids=["two-cone", "3-4-5", "quadrilateral", "pentagon", "hexagon"])
 
 
 @SURFACES
-def test_exponential_sum_matches_lu(two_cone, vertices, edges, terms):
+def test_exponential_sum_matches_lu(two_cone, vertices, edges, terms, steps):
     spec = two_cone if vertices is None else build_polygon_double(vertices)
     cf = CharFunction(spec)
     assert cf.size == edges <= MAX_SUM_EDGES
-    assert len(cf.terms.coeff) == terms     # nonzero (|S|, length multiset) groups
+    # nonzero length-multiset groups, each a term
+    # c_S prod_l (lam^{-1/2} e^{i lam u_l})^{m_{S,l}}
+    assert len(cf.terms.coeff) == terms
     lam = _strip_points(200, seed=edges)
     want = np.linalg.det(np.eye(edges) - cf.matrices(lam))
     got = cf.values(lam)
@@ -112,21 +116,21 @@ def test_exponential_sum_matches_lu(two_cone, vertices, edges, terms):
 
 
 @SURFACES
-def test_exponential_sum_record(two_cone, vertices, edges, terms):
+def test_exponential_sum_record(two_cone, vertices, edges, terms, steps):
     spec = two_cone if vertices is None else build_polygon_double(vertices)
     cf = CharFunction(spec)
     t = cf.terms
     assert np.array_equal(t.lengths, np.unique(cf.ell))
     assert t.size.shape == t.ell.shape == t.coeff.shape == (terms,)
     assert t.mult.shape == (terms, t.lengths.size)
-    # one group per (|S|, multiset); the empty set's term is exactly 1
-    keys = {(k, *m) for k, m in zip(t.size.tolist(), t.mult.tolist())}
-    assert len(keys) == terms
+    # one group per length multiset; the empty set's term is exactly 1
+    assert len({tuple(m) for m in t.mult.tolist()}) == terms
     assert (t.size[0], t.ell[0], t.coeff[0]) == (0, 0.0, 1.0)
     assert np.all(t.coeff != 0)
     assert np.array_equal(t.mult.sum(axis=1), t.size)
     for ell, m in zip(t.ell, t.mult):
         assert math.fsum(m * t.lengths) == pytest.approx(ell, rel=1e-14, abs=0.0)
+    assert len(cf._steps) + t.lengths.size == steps
 
 
 def test_hexagon_values_match_lu_deep_in_the_strip():

@@ -1088,6 +1088,20 @@ def test_scan_rejects_bad_seed_before_evaluating(seed):
     assert h.calls == 0
 
 
+def test_scan_refuses_more_than_max_columns_before_evaluating(monkeypatch):
+    # without a spec the strip is cut into 16 columns; the cap is checked
+    # before any column is built, so a strip too wide to lay out fails
+    # at once instead of growing the process
+    h = Counted(poly_handle(5.13 - 0.8j))
+    monkeypatch.setattr(resonances, "MAX_COLUMNS", 15)
+    with pytest.raises(MemoryError, match=r"^the strip needs 16 columns, "
+                                          r"more than MAX_COLUMNS = 15$"):
+        scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8), char_fn=h)
+    assert h.calls == 0
+    monkeypatch.setattr(resonances, "MAX_COLUMNS", 16)
+    assert len(scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8), char_fn=h).items) == 1
+
+
 def test_scan_requires_function_or_spec():
     with pytest.raises(ValueError):
         scan_strip(None, SearchRegion(4.0, 8.0, 0.3, 0.8))

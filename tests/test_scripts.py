@@ -23,14 +23,22 @@ def test_script_runs(script, args):
     assert r.returncode == 0, r.stdout + r.stderr
 
 
+def _short_digest(overrides=None):
+    """scan_digest.py --short, with CONERES_TOL_OVERRIDES naming
+    ``overrides`` (a path) or unset."""
+    env = dict(os.environ)
+    env.pop("CONERES_TOL_OVERRIDES", None)
+    if overrides is not None:
+        env["CONERES_TOL_OVERRIDES"] = str(overrides)
+    return subprocess.run([sys.executable, str(SCRIPTS / "scan_digest.py"), "--short"],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def test_scan_digest_prints_one_line_per_output():
     # every byte-identity claim between checkouts rests on these 18 lines;
     # this is also the test that the script runs.  The scan taken in runs
     # of 4 columns writes the bytes of the one-run scan
-    env = dict(os.environ)
-    env.pop("CONERES_TOL_OVERRIDES", None)
-    r = subprocess.run([sys.executable, str(SCRIPTS / "scan_digest.py"), "--short"],
-                       capture_output=True, text=True, env=env, timeout=300)
+    r = _short_digest()
     assert r.returncode == 0, r.stdout + r.stderr
     files = ("fit_summary.txt", "plot_data.csv", "report.json", "resonances.csv")
     names = [f"{scan}/{name}" for scan in ("tri345", "tri345-runs", "twocone",
@@ -40,6 +48,16 @@ def test_scan_digest_prints_one_line_per_output():
     assert [line[66:] for line in lines] == names
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     assert [line[:64] for line in lines[4:8]] == [line[:64] for line in lines[:4]]
+
+
+def test_scan_digest_ignores_the_callers_tolerance_overrides(tmp_path):
+    # a looser Newton residual moves the scans' zeros, and 4 points a
+    # panel fail the statphase battery; neither may reach a digest
+    overrides = tmp_path / "loose.yaml"
+    overrides.write_text("newton_residual: 1.0e-6\nquad_points_per_panel: 4\n")
+    clean, loose = _short_digest(), _short_digest(overrides)
+    assert (loose.returncode, loose.stdout) == (clean.returncode, clean.stdout)
+    assert len(loose.stdout.splitlines()) == 18
 
 
 def _bench_pairs():
